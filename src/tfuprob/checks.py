@@ -405,7 +405,6 @@ def _suite_wde(rng, tol: float) -> dict:
 
 def _suite_kernels(rng, tol: float) -> dict:
     s = _Suite("kernels")
-    active = kernels.resolve_backend()
     for trial in range(25):
         na, nb, nc = (int(x) for x in rng.integers(2, 9, size=3))
         jab = rng.random((na, nb))
@@ -415,11 +414,14 @@ def _suite_kernels(rng, tol: float) -> dict:
             jab[:] = 0.25  # constant sheets force ties on purpose
             jbc[:] = 0.25
             jac[:] = 0.75
-        got_idx, got_val = kernels.scan_triple(jab, jbc, jac, backend=active)
-        ref_idx, ref_val = kernels.scan_triple(jab, jbc, jac, backend="numpy")
+        # reference: the first maximum of the dense score cube, in C order
+        cube = jac[:, None, :] - (jab[:, :, None] + jbc[None, :, :])
+        flat = int(np.argmax(cube))
+        ref_idx = tuple(int(x) for x in np.unravel_index(flat, cube.shape))
+        got_idx, got_val = kernels.scan_triple(jab, jbc, jac)
         s.check(
-            got_idx == ref_idx and got_val == ref_val,
-            property="backend-agreement",
+            got_idx == ref_idx and got_val == cube.flat[flat],
+            property="scan-first-maximum",
             shapes=[na, nb, nc], got=list(got_idx), want=list(ref_idx),
         )
 
@@ -480,7 +482,6 @@ def run_checks(seed: int = 0, tolerance: float = 1e-12) -> dict:
         "command": "check",
         "seed": seed,
         "tolerance": tolerance,
-        "backend": kernels.resolve_backend(),
         "passed": all(r["passed"] for r in reports),
         "suites": reports,
     }

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
-from . import __version__, checks, classical, kernels, logic, measures, quantum, report, wde
+from . import __version__, checks, classical, logic, measures, quantum, report, wde
 from .errors import (
     FormulaError,
     ProblemFileError,
@@ -54,19 +55,13 @@ def _envelope(command: str, args) -> dict:
     }
 
 
+@contextmanager
 def _labeled(label: str):
     """Re-raise undefined-conditional errors naming the report quantity."""
-
-    class _Context:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc_type is not None and issubclass(exc_type, UndefinedConditionalError):
-                raise UndefinedConditionalError(f'cannot evaluate "{label}": {exc}') from exc
-            return False
-
-    return _Context()
+    try:
+        yield
+    except UndefinedConditionalError as exc:
+        raise UndefinedConditionalError(f'cannot evaluate "{label}": {exc}') from exc
 
 
 def _eval_tfu_table(problem: TfuTableProblem) -> dict:
@@ -285,9 +280,8 @@ def cmd_search(args) -> int:
     out["mode"] = pf.mode
     out["input"] = pf.raw
     out["ordering"] = ordering
-    out["backend"] = kernels.resolve_backend()
     out["grid"] = [
-        {"start": g.start, "stop": g.stop, "step": g.step, "points": int(g.values().size)}
+        {"start": g.start, "stop": g.stop, "step": g.step, "points": g.points}
         for g in grids
     ]
     if witness is None:

@@ -1,4 +1,4 @@
-"""Triple-grid scan kernels with selectable backend.
+"""Triple-grid scan kernel.
 
 The inequality searches all reduce to one shape of work: given three pair
 matrices Jab, Jbc, Jac (joint probabilities precomputed per angle pair),
@@ -9,100 +9,56 @@ maximize
 over the full tuple grid. (The parenthesization is deliberate: IEEE
 addition is commutative, so tuples whose left-hand terms swap roles under
 a mirror symmetry of the configuration evaluate bit-identically, and the
-lexicographic tie-break below stays meaningful.) Fine grids mean 1e7-1e8 tuples, the one genuinely
-hot loop in the package; everything else is dense algebra in dimension at
-most 64. Two implementations are kept in lockstep:
+lexicographic tie-break below stays meaningful.) Fine grids mean 1e7-1e8
+tuples, the one genuinely hot loop in the package; everything else is
+dense algebra in dimension at most 64.
 
-* a numba @njit kernel that walks the grid in parallel without ever
-  materializing v (each row i is reduced independently, then rows are
-  merged serially, so the result does not depend on thread scheduling);
-* a pure-numpy fallback that broadcasts v and argmaxes it.
-
-Both apply the identical arithmetic in the identical order and break ties
-toward the lexicographically smallest (i, j, k), so their results agree
-bit for bit. Backend selection: the TFUPROB_BACKEND environment variable
-("numba", "numpy" or "auto", default auto = numba when importable), or a
-per-call override.
+The scan never materializes the whole (na, nb, nc) score cube. It walks
+blocks of consecutive i-rows through one preallocated buffer of at most
+_BLOCK_BYTES (or one row, if a row is larger), takes the first maximum of
+each block with argmax, and merges blocks in ascending i with a strict
+`>`. The result is therefore the first maximum of the dense cube in C
+order: ties go to the lexicographically smallest (i, j, k), and every
+value is the same float the dense expression would give.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .errors import ValidationError
 
-BACKEND_ENV = "TFUPROB_BACKEND"
-
-try:
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
+# Scratch for one block of the score cube; bounds the scan's memory at any
+# grid size while keeping blocks large enough that the per-block numpy
+# overhead stays negligible.
+_BLOCK_BYTES = 32 * 2**20
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
+def _scan_blocks(jab, jbc, jac):
+    na, nb = jab.shape
+    nc = jac.shape[1]
+    rows = min(na, max(1, _BLOCK_BYTES // (8 * nb * nc)))
+    buf = np.empty((rows, nb, nc), dtype=np.float64)
+    best, arg = -np.inf, (0, 0, 0)
+    for i0 in range(0, na, rows):
+        i1 = min(i0 + rows, na)
+        v = buf[: i1 - i0]
+        np.add(jab[i0:i1, :, None], jbc[None, :, :], out=v)
+        np.subtract(jac[i0:i1, None, :], v, out=v)
+        flat = int(np.argmax(v))  # first occurrence within the block
+        value = v.flat[flat]
+        if value > best or np.isnan(value):
+            i, rem = divmod(flat, nb * nc)
+            best, arg = value, (i0 + i, *divmod(rem, nc))
+            if np.isnan(value):  # argmax over the dense cube stops at its first NaN
+                break
+    return arg, float(best)
 
 
-def resolve_backend(backend: str | None = None) -> str:
-    """Pick the backend: explicit argument beats env var beats auto."""
-    choice = backend or os.environ.get(BACKEND_ENV, "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numba" and not HAVE_NUMBA:
-        raise ValidationError("numba backend requested but numba is not importable")
-    if choice not in ("numba", "numpy"):
-        raise ValidationError(f"unknown backend {choice!r}: expected numba, numpy or auto")
-    return choice
-
-
-def _scan_numpy(jab, jbc, jac):
-    v = jac[:, None, :] - (jab[:, :, None] + jbc[None, :, :])
-    flat = int(np.argmax(v))  # first occurrence = lexicographically smallest
-    idx = np.unravel_index(flat, v.shape)
-    return (int(idx[0]), int(idx[1]), int(idx[2])), float(v[idx])
-
-
-if HAVE_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _scan_rows_njit(jab, jbc, jac, row_best, row_arg):  # pragma: no cover
-        na, nb = jab.shape
-        nc = jac.shape[1]
-        for i in prange(na):
-            best = -np.inf
-            arg = 0
-            for j in range(nb):
-                ab = jab[i, j]
-                for k in range(nc):
-                    v = jac[i, k] - (ab + jbc[j, k])
-                    if v > best:  # strict: first maximum wins within the row
-                        best = v
-                        arg = j * nc + k
-            row_best[i] = best
-            row_arg[i] = arg
-
-    def _scan_numba(jab, jbc, jac):
-        na = jab.shape[0]
-        nc = jac.shape[1]
-        row_best = np.empty(na, dtype=np.float64)
-        row_arg = np.empty(na, dtype=np.int64)
-        _scan_rows_njit(jab, jbc, jac, row_best, row_arg)
-        i = 0  # serial merge keeps the tie-break deterministic
-        for cand in range(1, na):
-            if row_best[cand] > row_best[i]:
-                i = cand
-        j, k = divmod(int(row_arg[i]), nc)
-        return (i, j, k), float(row_best[i])
-
-
-def scan_triple(jab, jbc, jac, backend: str | None = None):
+def scan_triple(jab, jbc, jac):
     """Maximize Jac[i,k] - (Jab[i,j] + Jbc[j,k]); returns ((i,j,k), value).
 
-    Ties go to the lexicographically smallest tuple on every backend.
+    Ties go to the lexicographically smallest tuple.
     """
     jab = np.ascontiguousarray(jab, dtype=np.float64)
     jbc = np.ascontiguousarray(jbc, dtype=np.float64)
@@ -116,6 +72,4 @@ def scan_triple(jab, jbc, jac, backend: str | None = None):
         )
     if 0 in (na, nb, jac.shape[1]):
         raise ValidationError("empty grid axis")
-    if resolve_backend(backend) == "numba":
-        return _scan_numba(jab, jbc, jac)
-    return _scan_numpy(jab, jbc, jac)
+    return _scan_blocks(jab, jbc, jac)

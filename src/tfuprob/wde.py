@@ -35,6 +35,7 @@ coincide; in the shared protocol they generally do not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,10 @@ ORDERINGS = ("sequential", "symmetrized")
 PROTOCOLS = ("paired", "shared")
 HOLDS_TOL = 1e-12
 SEARCH_THRESHOLD = 1e-9
+# Points per search axis. A pair sheet holds points**2 float64 values, so
+# 2048 points make 32 MiB per sheet (three per search) and 32 MiB per row
+# of the scan's score cube; the tuple count is then at most 2048**3.
+MAX_GRID_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -250,10 +255,16 @@ class AngleGrid:
             raise ValidationError(f"grid step must be positive, got {self.step!r}")
         if self.stop < self.start:
             raise ValidationError("grid stop lies before start")
+        if not math.isfinite((self.stop - self.start) / self.step):
+            raise ValidationError(f"grid step {self.step!r} is too small for its range")
+
+    @property
+    def points(self) -> int:
+        """Number of grid values, counted without building them."""
+        return math.floor((self.stop - self.start) / self.step + 1e-9) + 1
 
     def values(self) -> np.ndarray:
-        count = int(np.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return self.start + self.step * np.arange(count)
+        return self.start + self.step * np.arange(self.points)
 
     def with_step(self, step: float) -> "AngleGrid":
         return AngleGrid(self.start, self.stop, step)
@@ -335,15 +346,14 @@ def search_violation(
     ordering: str = "symmetrized",
     threshold: float = SEARCH_THRESHOLD,
     factor: int = 0,
-    backend: str | None = None,
 ) -> ViolationWitness | None:
     """Deterministic scan of a theta grid for an inequality violation.
 
     The kernel locates the best tuple (ties break to the lexicographically
     smallest one); the reported triple is then re-evaluated through the
-    dense operator path, so the report never depends on the backend. A
-    witness is returned only when the violation exceeds `threshold`;
-    otherwise None.
+    dense operator path. A witness is returned only when the violation
+    exceeds `threshold`; otherwise None. An axis with more than
+    MAX_GRID_POINTS points is rejected before anything is allocated.
     """
     _check_ordering(ordering)
     if protocol not in PROTOCOLS:
@@ -351,6 +361,11 @@ def search_violation(
     grids = (grid, grid, grid) if isinstance(grid, AngleGrid) else tuple(grid)
     if len(grids) != 3 or not all(isinstance(g, AngleGrid) for g in grids):
         raise ValidationError("grid must be one AngleGrid or a triple of them")
+    for g in grids:
+        if g.points > MAX_GRID_POINTS:
+            raise ValidationError(
+                f"grid has {g.points} points per axis, over the limit of {MAX_GRID_POINTS}"
+            )
     th_a, th_b, th_c = (g.values() for g in grids)
 
     if protocol == "paired":
@@ -362,7 +377,7 @@ def search_violation(
             raise ValidationError(f"factor {factor} out of range for {state.n_factors} qubits")
         jab, jbc, jac = _shared_pair_matrices(th_a, th_b, th_c, state, factor, ordering)
 
-    (i, j, k), best = kernels.scan_triple(jab, jbc, jac, backend=backend)
+    (i, j, k), best = kernels.scan_triple(jab, jbc, jac)
     if best <= threshold:
         return None
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -152,14 +153,20 @@ def test_search_grid_step_override(capsys):
     )
 
 
-def test_search_backend_choice_does_not_change_report(capsys, monkeypatch):
-    monkeypatch.setenv("TFUPROB_BACKEND", "numpy")
-    by_numpy = json.loads(run_cli(capsys, "search", str(FIXTURES / "wde_quantum.json"))[1])
-    monkeypatch.delenv("TFUPROB_BACKEND")
-    by_default = json.loads(run_cli(capsys, "search", str(FIXTURES / "wde_quantum.json"))[1])
-    assert by_numpy.pop("backend") == "numpy"
-    by_default.pop("backend")
-    assert by_numpy == by_default
+def test_search_rejects_oversized_grid_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "search", str(FIXTURES / "wde_quantum.json"), "--grid-step", "1e-12"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "1570796326795 points" in err and "limit of 2048" in err
+    assert peak < 2**20  # 1.6e12 points would need terabytes
 
 
 def test_search_rejects_non_quantum_file(capsys):

@@ -1,17 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tfuprob import kernels
 from tfuprob.errors import ValidationError
-from tfuprob.kernels import (
-    BACKEND_ENV,
-    available_backends,
-    resolve_backend,
-    scan_triple,
-)
+from tfuprob.kernels import scan_triple
+from tfuprob.wde import _paired_pair_matrices, singlet_state
 
 
 def _brute_force(jab, jbc, jac):
-    """Triple loop, nothing shared with either backend."""
+    """Triple loop, nothing shared with the kernel."""
     best = -np.inf
     arg = None
     na, nb = jab.shape
@@ -34,19 +33,9 @@ def _random_tables(rng, na, nb, nc):
     )
 
 
-def test_backends_available():
-    assert "numpy" in available_backends()
-
-
-def test_resolve_backend_precedence(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    assert resolve_backend() in available_backends()
-    monkeypatch.setenv(BACKEND_ENV, "numpy")
-    assert resolve_backend() == "numpy"
-    assert resolve_backend("numpy") == "numpy"  # explicit arg beats env
-    monkeypatch.setenv(BACKEND_ENV, "abacus")
-    with pytest.raises(ValidationError, match="abacus"):
-        resolve_backend()
+def _rows_per_block(monkeypatch, rows, nb, nc):
+    """Shrink the scan's block so that it holds `rows` i-rows."""
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", rows * 8 * nb * nc)
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 4, 5), (8, 8, 8), (17, 2, 9)])
@@ -54,21 +43,66 @@ def test_scan_matches_brute_force(shape):
     rng = np.random.default_rng(sum(shape))
     jab, jbc, jac = _random_tables(rng, *shape)
     want_arg, want_best = _brute_force(jab, jbc, jac)
-    for backend in available_backends():
-        arg, best = scan_triple(jab, jbc, jac, backend=backend)
-        assert arg == want_arg
-        assert best == want_best  # bit-for-bit
+    arg, best = scan_triple(jab, jbc, jac)
+    assert arg == want_arg
+    assert best == want_best  # bit-for-bit
 
 
-def test_backends_agree_bitwise():
-    if len(available_backends()) < 2:
-        pytest.skip("only one backend present")
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        jab, jbc, jac = _random_tables(rng, 6, 7, 5)
-        results = {b: scan_triple(jab, jbc, jac, backend=b) for b in available_backends()}
-        values = list(results.values())
-        assert all(v == values[0] for v in values[1:])
+@pytest.mark.parametrize("rows", [1, 2, 3, 16])
+def test_scan_across_blocks_matches_brute_force(monkeypatch, rows):
+    rng = np.random.default_rng(rows)
+    na, nb, nc = 17, 4, 6
+    _rows_per_block(monkeypatch, rows, nb, nc)
+    for _ in range(5):
+        jab, jbc, jac = _random_tables(rng, na, nb, nc)
+        assert scan_triple(jab, jbc, jac) == _brute_force(jab, jbc, jac)
+
+
+def test_tie_across_block_boundary_goes_to_first_block(monkeypatch):
+    na, nb, nc = 7, 3, 4
+    _rows_per_block(monkeypatch, 2, nb, nc)
+    jab, jbc, jac = np.zeros((na, nb)), np.zeros((nb, nc)), np.zeros((na, nc))
+    jac[1, 3] = jac[2, 0] = jac[6, 0] = 0.5  # blocks {0,1}, {2,3}, ..., {6}
+    assert scan_triple(jab, jbc, jac) == ((1, 0, 3), 0.5)
+    assert _brute_force(jab, jbc, jac) == ((1, 0, 3), 0.5)
+
+
+def test_maximum_only_in_last_block(monkeypatch):
+    rng = np.random.default_rng(5)
+    na, nb, nc = 7, 3, 4
+    _rows_per_block(monkeypatch, 3, nb, nc)  # last block is the single row 6
+    jab, jbc, jac = _random_tables(rng, na, nb, nc)
+    jac[6, 2] = 10.0
+    want = _brute_force(jab, jbc, jac)
+    assert want[0][0] == 6
+    assert scan_triple(jab, jbc, jac) == want
+
+
+def test_first_nan_wins_like_dense_argmax(monkeypatch):
+    # argmax over the dense cube stops at its first NaN; the blocked scan
+    # must return that one, not an earlier finite maximum or a later NaN
+    na, nb, nc = 6, 3, 4
+    _rows_per_block(monkeypatch, 2, nb, nc)
+    jab, jbc, jac = np.zeros((na, nb)), np.zeros((nb, nc)), np.zeros((na, nc))
+    jac[0, 1] = 1.0
+    jac[2, 2] = jac[5, 0] = np.nan
+    cube = jac[:, None, :] - (jab[:, :, None] + jbc[None, :, :])
+    assert np.unravel_index(int(np.argmax(cube)), cube.shape) == (2, 0, 2)
+    arg, best = scan_triple(jab, jbc, jac)
+    assert arg == (2, 0, 2)
+    assert np.isnan(best)
+
+
+def test_scan_memory_is_bounded():
+    th = np.linspace(0.0, np.pi, 384)
+    sheets = _paired_pair_matrices(th, th, th, singlet_state())
+    tracemalloc.start()
+    try:
+        scan_triple(*sheets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20  # the dense 384^3 cube alone is 432 MiB
 
 
 def test_ties_break_to_first_tuple():
@@ -76,10 +110,11 @@ def test_ties_break_to_first_tuple():
     jab = np.zeros((3, 3))
     jbc = np.zeros((3, 4))
     jac = np.full((3, 4), 0.5)
-    for backend in available_backends():
-        arg, best = scan_triple(jab, jbc, jac, backend=backend)
-        assert arg == (0, 0, 0)
-        assert best == 0.5
+    arg, best = scan_triple(jab, jbc, jac)
+    assert arg == (0, 0, 0)
+    assert best == 0.5
+    # all scores -inf: nothing beats the first tuple
+    assert scan_triple(jab, jbc, np.full((3, 4), -np.inf)) == ((0, 0, 0), -np.inf)
 
 
 def test_mirror_tie_is_exact():
@@ -87,7 +122,7 @@ def test_mirror_tie_is_exact():
     # float, so the lexicographic winner is meaningful
     th = np.array([0.0, np.pi / 4, np.pi / 2])
     o = 0.5 * np.sin((th[:, None] - th[None, :]) / 2) ** 2
-    arg, best = scan_triple(o, o, o, backend="numpy")
+    arg, best = scan_triple(o, o, o)
     v_mirror = o[arg[2], arg[0]] - (o[arg[2], arg[1]] + o[arg[1], arg[0]])
     assert best == v_mirror
     assert arg == (0, 1, 2)
@@ -109,5 +144,4 @@ def test_scan_accepts_noncontiguous_input():
     jbc = rng.uniform(size=(5, 5))
     jac = rng.uniform(size=(5, 5))
     want = _brute_force(np.ascontiguousarray(jab), jbc, jac)
-    for backend in available_backends():
-        assert scan_triple(jab, jbc, jac, backend=backend) == want
+    assert scan_triple(jab, jbc, jac) == want

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from tfuprob import wde
 from tfuprob.classical import ClassicalDistribution, build_state_vector, projector_for
 from tfuprob.errors import ValidationError
 from tfuprob.logic import T, F, U
@@ -217,6 +218,31 @@ def test_angle_grid_values_inclusive():
     with pytest.raises(ValidationError, match="before start"):
         AngleGrid(1.0, 0.0, 0.5)
     assert AngleGrid(0.0, 1.0, 0.5).with_step(0.25).step == 0.25
+    with pytest.raises(ValidationError, match="too small"):
+        AngleGrid(0.0, 1.0, 5e-324)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        AngleGrid(0.0, 0.0, 1.0),
+        AngleGrid(0.0, np.pi / 2, np.pi / 4),
+        AngleGrid(0.0, 3 * 0.1, 0.1),  # endpoint within the 1e-9 slack
+        AngleGrid(0.0, 1.0, 0.3),
+        AngleGrid(-1.0, 2.5, 0.006),
+    ],
+)
+def test_angle_grid_points_counts_values(grid):
+    assert grid.points == grid.values().size
+
+
+def test_search_rejects_axis_over_point_limit(monkeypatch):
+    monkeypatch.setattr(wde, "MAX_GRID_POINTS", 4)
+    at_limit = AngleGrid(0.0, 3 * np.pi / 8, np.pi / 8)
+    assert search_violation(at_limit, singlet_state(), protocol="paired") is not None
+    over = (at_limit, at_limit.with_step(np.pi / 16), at_limit)
+    with pytest.raises(ValidationError, match="7 points per axis, over the limit of 4"):
+        search_violation(over, singlet_state(), protocol="paired")
 
 
 def test_search_finds_exact_singlet_witness():
@@ -232,13 +258,10 @@ def test_search_finds_exact_singlet_witness():
 
 def test_search_ties_break_lexicographically():
     # the mirrored tuple (pi/2, pi/4, 0) scores identically; the smaller
-    # tuple must win on every backend
+    # tuple must win
     grid = AngleGrid(0.0, np.pi / 2, np.pi / 4)
-    for backend in ("numpy", None):
-        witness = search_violation(
-            grid, singlet_state(), protocol="paired", backend=backend
-        )
-        assert witness.thetas == (0.0, np.pi / 4, np.pi / 2)
+    witness = search_violation(grid, singlet_state(), protocol="paired")
+    assert witness.thetas == (0.0, np.pi / 4, np.pi / 2)
 
 
 def test_search_returns_none_without_violation():
