@@ -463,7 +463,12 @@ SUITES = (
 
 
 def run_checks(seed: int = 0, tolerance: float = 1e-12) -> dict:
-    """Run every suite; deterministic for a given seed and tolerance."""
+    """Run every suite; deterministic for a given seed and tolerance.
+
+    The seed must be a non-negative integer (it seeds numpy generators).
+    """
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     reports = []
     for suite in SUITES:
         rng = np.random.default_rng([seed, len(reports)])

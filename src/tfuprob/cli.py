@@ -9,7 +9,8 @@ Three verbs:
 Reports go to stdout in the chosen --format (structured JSON by default,
 byte-identical across runs with the same inputs and seed); errors go to
 stderr. Exit codes: 0 success, 1 property/check failure, 2 problem file or
-formula parse error, 3 validation error, 4 undefined conditional.
+formula parse error, 3 validation error, 4 undefined conditional, 5 out of
+memory.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_UNDEFINED = 4
+EXIT_MEMORY = 5
 
 
 def _envelope(command: str, args) -> dict:
@@ -351,6 +353,12 @@ def main(argv: list[str] | None = None) -> int:
     except TfuProbError as exc:  # pragma: no cover - safety net
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:
+        # last resort: inputs are size-checked before allocation, so this
+        # means an input too large for this machine within those limits
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

@@ -13,13 +13,33 @@ lexicographic tie-break below stays meaningful.) Fine grids mean 1e7-1e8
 tuples, the one genuinely hot loop in the package; everything else is
 dense algebra in dimension at most 64.
 
-The scan never materializes the whole (na, nb, nc) score cube. It walks
-blocks of consecutive i-rows through one preallocated buffer of at most
-_BLOCK_BYTES (or one row, if a row is larger), takes the first maximum of
-each block with argmax, and merges blocks in ascending i with a strict
-`>`. The result is therefore the first maximum of the dense cube in C
-order: ties go to the lexicographically smallest (i, j, k), and every
-value is the same float the dense expression would give.
+The scan never materializes the whole (na, nb, nc) score cube. A cube of
+at most _SINGLE_BLOCK_BYTES is scored in one block. A larger one is cut
+into tiles of about _TILE_BYTES, small enough to stay in a core's L2 cache
+while np.add, np.subtract and argmax pass over it: one i-row by a chunk of
+j-rows, a contiguous run of the cube in C order. The tiles are walked in
+that order; each takes the first maximum of its run with argmax, and a
+tile replaces the best so far only with a strictly greater value
+(or with the first NaN, where a dense argmax would stop). The result is
+therefore the first maximum of the dense cube in C order: ties go to the
+lexicographically smallest (i, j, k), and every value is the same float
+the dense expression would give.
+
+Most tiles cannot beat the best tuple, and are skipped unscored. When all
+three sheets are finite, one pass first bounds every block of tiles
+(i-rows I by j-rows J) by
+
+    U = max over k of  max_I Jac[i, k] - (min_IxJ Jab[i, j] + min_J Jbc[j, k])
+
+The block of highest U is scored first; its best score F is reached by
+some tuple, so the maximum of the cube is at least F. The walk then skips
+a tile whose block has U < F (it holds no maximum) or U <= the best so far
+(it could at most tie, and a tie goes to the earlier tuple). The skip is
+exact, not a heuristic: IEEE-754 rounding is monotone, so fl(b + c) never
+exceeds fl(b' + c') when b <= b' and c <= c', and fl(a - s) never falls as
+a rises or s falls; every tuple of the block therefore scores at most U,
+overflow included. With an infinity or NaN in a sheet, inf - inf can make
+a NaN that no bound sees, so no tile is skipped.
 """
 
 from __future__ import annotations
@@ -28,30 +48,89 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Scratch for one block of the score cube; bounds the scan's memory at any
-# grid size while keeping blocks large enough that the per-block numpy
-# overhead stays negligible.
-_BLOCK_BYTES = 32 * 2**20
+# A score cube up to this size is scored in one block with no bound pass:
+# on small grids the pass and the per-tile overhead cost more than pruning
+# saves.
+_SINGLE_BLOCK_BYTES = 8 * 2**20
+# Scratch for one tile of a larger cube, sized to stay in a core's L2 cache.
+_TILE_BYTES = 64 * 2**10
+# The bound pass costs at most about 1/_BOUND_SHARE of scoring every tuple.
+_BOUND_SHARE = 64
+
+
+def _tile_shape(na, nb, nc):
+    """(i-rows, j-rows) of one tile: the whole cube, or one i-row by a chunk."""
+    if 8 * na * nb * nc <= _SINGLE_BLOCK_BYTES:
+        return na, nb
+    return 1, min(nb, max(1, _TILE_BYTES // (8 * nc)))
+
+
+def _block_bounds(jab, jbc, jac, rows, cols):
+    """Upper bound of the score over each block of `rows` i-rows by `cols` j-rows."""
+    na, nb = jab.shape
+    nc = jac.shape[1]
+    i_starts, j_starts = np.arange(0, na, rows), np.arange(0, nb, cols)
+    min_ab = np.minimum.reduceat(np.minimum.reduceat(jab, j_starts, axis=1), i_starts, axis=0)
+    min_bc = np.minimum.reduceat(jbc, j_starts, axis=0)
+    max_ac = np.maximum.reduceat(jac, i_starts, axis=0)
+    bounds = np.empty(min_ab.shape)
+    step = max(1, _TILE_BYTES // (8 * j_starts.size * nc))
+    buf = np.empty((step, j_starts.size, nc))
+    for b0 in range(0, i_starts.size, step):
+        b1 = min(b0 + step, i_starts.size)
+        v = buf[: b1 - b0]
+        np.add(min_ab[b0:b1, :, None], min_bc[None, :, :], out=v)
+        np.subtract(max_ac[b0:b1, None, :], v, out=v)
+        np.max(v, axis=2, out=bounds[b0:b1])
+    return bounds
+
+
+def _score_tile(jab, jbc, jac, buf, i0, i1, j0, j1):
+    """Score tuples i0:i1 x j0:j1 x all k into buf; returns the filled view."""
+    v = buf[: i1 - i0, : j1 - j0]
+    np.add(jab[i0:i1, j0:j1, None], jbc[None, j0:j1, :], out=v)
+    np.subtract(jac[i0:i1, None, :], v, out=v)
+    return v
 
 
 def _scan_blocks(jab, jbc, jac):
     na, nb = jab.shape
     nc = jac.shape[1]
-    rows = min(na, max(1, _BLOCK_BYTES // (8 * nb * nc)))
-    buf = np.empty((rows, nb, nc), dtype=np.float64)
+    rows, cols = _tile_shape(na, nb, nc)
+    buf = np.empty((rows, cols, nc), dtype=np.float64)
+    # a bound block spans enough one-row tiles that the bound pass stays
+    # within its share of the scan
+    block_rows = min(na, -(-_BOUND_SHARE // cols))
+    bounds, floor = None, -np.inf
+    if (rows, cols) != (na, nb) and all(np.isfinite(s).all() for s in (jab, jbc, jac)):
+        bounds = _block_bounds(jab, jbc, jac, block_rows, cols)
+        top_i, top_j = np.unravel_index(int(np.argmax(bounds)), bounds.shape)
+        i0, j0 = int(top_i) * block_rows, int(top_j) * cols
+        i_end, j1 = min(i0 + block_rows, na), min(j0 + cols, nb)
+        floor = max(
+            np.max(_score_tile(jab, jbc, jac, buf, i, i + 1, j0, j1))
+            for i in range(i0, i_end)
+        )
+        bounds = bounds.tolist()
     best, arg = -np.inf, (0, 0, 0)
     for i0 in range(0, na, rows):
         i1 = min(i0 + rows, na)
-        v = buf[: i1 - i0]
-        np.add(jab[i0:i1, :, None], jbc[None, :, :], out=v)
-        np.subtract(jac[i0:i1, None, :], v, out=v)
-        flat = int(np.argmax(v))  # first occurrence within the block
-        value = v.flat[flat]
-        if value > best or np.isnan(value):
-            i, rem = divmod(flat, nb * nc)
-            best, arg = value, (i0 + i, *divmod(rem, nc))
-            if np.isnan(value):  # argmax over the dense cube stops at its first NaN
-                break
+        row_bounds = None if bounds is None else bounds[i0 // block_rows]
+        for j0 in range(0, nb, cols):
+            if row_bounds is not None:
+                bound = row_bounds[j0 // cols]
+                if bound <= best or bound < floor:
+                    continue
+            j1 = min(j0 + cols, nb)
+            v = _score_tile(jab, jbc, jac, buf, i0, i1, j0, j1)
+            flat = int(np.argmax(v))  # first occurrence within the tile
+            value = v.flat[flat]
+            if value > best or np.isnan(value):
+                i, rem = divmod(flat, (j1 - j0) * nc)
+                j, k = divmod(rem, nc)
+                best, arg = value, (i0 + i, j0 + j, k)
+                if np.isnan(value):  # argmax over the dense cube stops at its first NaN
+                    return arg, float(best)
     return arg, float(best)
 
 

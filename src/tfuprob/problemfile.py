@@ -24,7 +24,9 @@ evaluation.
 Structural problems (bad JSON, missing or unknown fields) raise
 ProblemFileError; payloads that parse but violate domain invariants raise
 ValidationError from the domain constructors. The command line maps the
-two to different exit codes.
+two to different exit codes. An "n" whose state or cell space (2^n for
+tfu-table and classical, 3^n for tfu-measure) holds more than MAX_CELLS
+entries is a ValidationError, raised before anything is allocated.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import ClassicalDistribution
-from .errors import ProblemFileError
+from .errors import ProblemFileError, ValidationError
 from .logic import CompleteStateTable, TfuValue
 from .measures import TfuMeasureAssignment
 from .quantum import ComplexStateVector, HermitianProjector, QubitDirection, SubspaceSpan, projector_from_spec
@@ -43,6 +45,9 @@ from .wde import ORDERINGS, PROTOCOLS, AngleGrid, TfuPopulation
 
 VERSION = 1
 MODES = ("tfu-table", "classical", "tfu-measure", "quantum", "wde")
+# Largest state or cell space a file may ask for: 2^20 entries, 8 MiB as
+# float64 (classical and tfu-table up to n=20, tfu-measure up to n=12).
+MAX_CELLS = 2**20
 
 
 def _need(payload: dict, key: str, kind, where: str):
@@ -165,15 +170,21 @@ class ProblemFile:
     raw: dict
 
 
-def _parse_n(payload: dict, where: str) -> int:
+def _parse_n(payload: dict, where: str, base: int) -> int:
+    """Read "n" for a space of base^n states or cells, at most MAX_CELLS."""
     n = _need(payload, "n", int, where)
     if isinstance(n, bool) or n < 1:
         raise ProblemFileError(f"{where}: n must be a positive integer")
+    # base >= 2, so the first test keeps base ** n from growing huge
+    if n > MAX_CELLS.bit_length() or base**n > MAX_CELLS:
+        raise ValidationError(
+            f"{where}: n={n} needs {base}^{n} cells, over the limit of {MAX_CELLS}"
+        )
     return n
 
 
 def _parse_tfu_table(payload: dict) -> TfuTableProblem:
-    n = _parse_n(payload, "tfu-table")
+    n = _parse_n(payload, "tfu-table", 2)
     values = _need(payload, "values", (list, dict), "tfu-table")
     if isinstance(values, dict):
         table = CompleteStateTable.from_mapping(n, values)
@@ -183,7 +194,7 @@ def _parse_tfu_table(payload: dict) -> TfuTableProblem:
 
 
 def _parse_classical(payload: dict) -> ClassicalProblem:
-    n = _parse_n(payload, "classical")
+    n = _parse_n(payload, "classical", 2)
     probs = _need(payload, "probs", (list, dict), "classical")
     if isinstance(probs, dict):
         dist = ClassicalDistribution.from_mapping(
@@ -200,7 +211,7 @@ def _parse_classical(payload: dict) -> ClassicalProblem:
 
 
 def _parse_tfu_measure(payload: dict) -> TfuMeasureProblem:
-    n = _parse_n(payload, "tfu-measure")
+    n = _parse_n(payload, "tfu-measure", 3)
     measures = _need(payload, "measures", (list, dict), "tfu-measure")
     if isinstance(measures, dict):
         assignment = TfuMeasureAssignment.from_mapping(

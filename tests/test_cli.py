@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tfuprob.checks
 import tfuprob.classical
+import tfuprob.cli
 from tfuprob.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -169,6 +171,30 @@ def test_search_rejects_oversized_grid_before_allocating(capsys):
     assert peak < 2**20  # 1.6e12 points would need terabytes
 
 
+@pytest.mark.parametrize(
+    "payload, size",
+    [
+        ({"version": 1, "mode": "tfu-measure", "n": 30, "measures": {"TT": 1}}, "3^30"),
+        ({"version": 1, "mode": "classical", "n": 45, "probs": {"+" * 45: 1.0}}, "2^45"),
+        ({"version": 1, "mode": "tfu-table", "n": 30, "values": {}}, "2^30"),
+    ],
+)
+def test_eval_rejects_oversized_n_before_allocating(capsys, tmp_path, payload, size):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(payload))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "eval", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"{size} cells" in err and "limit of 1048576" in err
+    assert peak < 2**20  # 3^30 float64 cells would need 1.5 PB
+
+
 def test_search_rejects_non_quantum_file(capsys):
     code, out, err = run_cli(capsys, "search", str(FIXTURES / "wde_classical.json"))
     assert code == 2
@@ -253,6 +279,27 @@ def test_check_seed_changes_cases(capsys):
     other_cases = [s["cases"] for s in other["suites"]]
     # rejection sampling makes at least one suite draw a different number
     assert base_cases != other_cases
+
+
+def test_check_rejects_negative_seed_before_any_suite(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(tfuprob.checks, "SUITES", (lambda rng, tol: ran.append(1),))
+    code, out, err = run_cli(capsys, "check", "--seed", "-1")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "seed" in err and "-1" in err
+    assert ran == []
+
+
+def test_memory_error_has_its_own_exit_code(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(tfuprob.cli, "cmd_check", exhausted)
+    code, out, err = run_cli(capsys, "check")
+    assert code == 5
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 8.00 GiB for an array\n"
 
 
 def test_check_detects_skewed_value(capsys, monkeypatch):

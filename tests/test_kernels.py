@@ -33,9 +33,16 @@ def _random_tables(rng, na, nb, nc):
     )
 
 
+def _j_rows_per_tile(monkeypatch, cols, nc, bound_rows):
+    """Tiles of one i-row by `cols` j-rows, bounded in blocks of `bound_rows` i-rows."""
+    monkeypatch.setattr(kernels, "_SINGLE_BLOCK_BYTES", 0)
+    monkeypatch.setattr(kernels, "_TILE_BYTES", cols * 8 * nc)
+    monkeypatch.setattr(kernels, "_BOUND_SHARE", bound_rows * cols)
+
+
 def _rows_per_block(monkeypatch, rows, nb, nc):
-    """Shrink the scan's block so that it holds `rows` i-rows."""
-    monkeypatch.setattr(kernels, "_BLOCK_BYTES", rows * 8 * nb * nc)
+    """Tiles of one i-row by every j-row, bounded in blocks of `rows` i-rows."""
+    _j_rows_per_tile(monkeypatch, nb, nc, rows)
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 4, 5), (8, 8, 8), (17, 2, 9)])
@@ -93,6 +100,59 @@ def test_first_nan_wins_like_dense_argmax(monkeypatch):
     assert np.isnan(best)
 
 
+@pytest.mark.parametrize("nudge", [0.0, 2.0**-30])
+@pytest.mark.parametrize("cols", [1, 2, 3])
+@pytest.mark.parametrize("bound_rows", [1, 3])
+def test_pruned_scan_matches_brute_force_on_ties(monkeypatch, nudge, cols, bound_rows):
+    # sheets on a few levels tie exactly all over the cube, so pruned tiles
+    # whose bound equals the best so far are common; nudged levels make a
+    # later tile beat the best by a hair, which a pruning rule with any
+    # slack would skip
+    rng = np.random.default_rng(100 * cols + bound_rows)
+    for _ in range(40):
+        na, nb, nc = rng.integers(1, 9, size=3)
+        _j_rows_per_tile(monkeypatch, cols, nc, bound_rows)
+        jab, jbc, jac = (
+            rng.integers(0, 3, size=shape) / 4.0 + rng.integers(0, 2, size=shape) * nudge
+            for shape in ((na, nb), (nb, nc), (na, nc))
+        )
+        assert scan_triple(jab, jbc, jac) == _brute_force(jab, jbc, jac)
+
+
+def test_later_tile_bounded_at_the_best_keeps_the_earlier_tie(monkeypatch):
+    # tiles of one i-row by two j-rows, bounded one by one. Tile (1, {2,3})
+    # has the highest bound (0.75, loose) but scores at most 0.5, which the
+    # earlier tiles (0, {0,1}) and (0, {2,3}) reach exactly; the first
+    # 0.5, at (0, 0, 0), must win
+    _j_rows_per_tile(monkeypatch, 2, 2, 1)
+    jab = np.array([[0.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.25]])
+    jbc = np.array([[0.0, 0.0], [0.0, 0.0], [0.25, 0.0], [0.0, 0.0]])
+    jac = np.array([[0.5, 0.0], [0.75, 0.0]])
+    want = _brute_force(jab, jbc, jac)
+    assert want == ((0, 0, 0), 0.5)
+    assert kernels._block_bounds(jab, jbc, jac, 1, 2).tolist() == [[0.5, 0.5], [0.25, 0.75]]
+    assert scan_triple(jab, jbc, jac) == want
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3])
+def test_inf_before_nan_matches_dense_argmax(monkeypatch, cols):
+    # +inf scores come first, then inf - inf makes a NaN: no tile may be
+    # skipped for a bound at or below +inf, or the NaN would be missed
+    na, nb, nc = 5, 4, 3
+    _j_rows_per_tile(monkeypatch, cols, nc, 1)
+    jab, jbc, jac = np.zeros((na, nb)), np.zeros((nb, nc)), np.zeros((na, nc))
+    jac[0, 1] = np.inf
+    jac[3, 2] = np.inf
+    jab[3, 1] = np.inf
+    with np.errstate(invalid="ignore"):
+        cube = jac[:, None, :] - (jab[:, :, None] + jbc[None, :, :])
+        arg, best = scan_triple(jab, jbc, jac)
+    want = np.unravel_index(int(np.argmax(cube)), cube.shape)
+    assert want == (3, 1, 2)
+    assert arg == want
+    assert np.isnan(best)
+
+
 def test_scan_memory_is_bounded():
     th = np.linspace(0.0, np.pi, 384)
     sheets = _paired_pair_matrices(th, th, th, singlet_state())
@@ -102,7 +162,7 @@ def test_scan_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * 2**20  # the dense 384^3 cube alone is 432 MiB
+    assert peak <= 8 * 2**20  # the dense 384^3 cube alone is 432 MiB
 
 
 def test_ties_break_to_first_tuple():

@@ -6,6 +6,7 @@ import pytest
 
 from tfuprob.errors import ProblemFileError, ValidationError
 from tfuprob.problemfile import (
+    MAX_CELLS,
     ClassicalProblem,
     QuantumProblem,
     TfuMeasureProblem,
@@ -86,6 +87,24 @@ def test_tfu_table_domain_errors_are_validation():
 def test_classical_list_length_checked():
     with pytest.raises(ProblemFileError, match="expected 4"):
         loads('{"version": 1, "mode": "classical", "n": 2, "probs": [0.5, 0.5]}')
+
+
+@pytest.mark.parametrize(
+    "mode, field, entry, base, largest",
+    [
+        ("tfu-table", "values", {"+" * 20: "F"}, 2, 20),
+        ("classical", "probs", {"+" * 20: 1.0}, 2, 20),
+        ("tfu-measure", "measures", {"T" * 12: 1.0}, 3, 12),
+    ],
+)
+def test_n_is_capped_by_cell_count(mode, field, entry, base, largest):
+    assert base**largest <= MAX_CELLS < base ** (largest + 1)
+    ok = {"version": 1, "mode": mode, "n": largest, field: entry}
+    assert loads(json.dumps(ok)).problem
+    for n in (largest + 1, 10**9):  # 10**9 must not build base**n first
+        want = f"n={n} needs {base}\\^{n} cells, over the limit of {MAX_CELLS}"
+        with pytest.raises(ValidationError, match=want):
+            loads(json.dumps({**ok, "n": n}))
 
 
 def test_amplitude_pairs():
