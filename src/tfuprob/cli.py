@@ -76,10 +76,7 @@ def _eval_tfu_table(problem: TfuTableProblem) -> dict:
             value = logic.conjunction_value(table, i, j)
             conjunctions[f"{names[i]}&{names[j]}"] = str(value)
     return {
-        "states": {
-            logic.state_key(state, table.n): str(table.values[state])
-            for state in range(len(table.values))
-        },
+        "states": dict(zip(logic.state_keys(table.n), (v.value for v in table.values))),
         "derived": {names[i]: str(derived[i]) for i in range(table.n)},
         "conjunctions": conjunctions,
         "nexus": [imp.label(names) for imp in logic.detect_nexus(table)],
@@ -94,14 +91,15 @@ def _eval_classical(problem: ClassicalProblem, tol: float) -> dict:
     state_dir = classical.state_direction(vec)
     projs = [classical.projector_for(i, n) for i in range(n)]
     probs = [classical.probability(projs[i], vec) for i in range(n)]
+    # the direction of P|s>, for each proposition with probability above tol
+    dirs = [None] * n
 
     propositions = {}
     for i, name in enumerate(names):
         entry = {f"|{name}|": probs[i]}
         if probs[i] > tol:
-            entry[f"cos2({name.upper()},S)"] = classical.cos2(
-                state_dir, classical.projected_direction(projs[i], vec)
-            )
+            dirs[i] = classical.projected_direction(projs[i], vec)
+            entry[f"cos2({name.upper()},S)"] = classical.cos2(state_dir, dirs[i])
         propositions[name] = entry
 
     pairs = {}
@@ -117,8 +115,7 @@ def _eval_classical(problem: ClassicalProblem, tol: float) -> dict:
             with _labeled(f"|{pn}|_{qn}"):
                 entry[f"|{pn}|_{qn}"] = classical.conditional(p, q, vec, tol)
             if probs[i] > tol and probs[j] > tol:
-                dir_p = classical.projected_direction(p, vec)
-                dir_q = classical.projected_direction(q, vec)
+                dir_p, dir_q = dirs[i], dirs[j]
                 entry[f"cos2({pn.upper()},{qn.upper()})"] = classical.cos2(dir_p, dir_q)
                 if joint > tol:
                     dir_pq = classical.projected_direction(pq, vec)

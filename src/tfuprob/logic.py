@@ -29,6 +29,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -120,9 +123,25 @@ def affirms(state: int, prop: int, n: int) -> bool:
     return (state >> (n - 1 - prop)) & 1 == 0
 
 
+@lru_cache(maxsize=8)
+def _affirm_table(n: int) -> np.ndarray:
+    """Read-only (n, 2^n) bool table: row k says, for every complete state,
+    whether it affirms proposition k. Built on first use, n * 2^n bytes."""
+    table = np.indices((2,) * n, dtype=np.uint8).reshape(n, -1) == 0
+    table.setflags(write=False)
+    return table
+
+
 def state_key(state: int, n: int) -> str:
     """Canonical '+-' key, one sign per proposition ('++' = pq)."""
     return "".join("+" if affirms(state, p, n) else "-" for p in range(n))
+
+
+def state_keys(n: int) -> list[str]:
+    """state_key of every complete state, in state order."""
+    signs = np.where(_affirm_table(n), np.uint8(ord("+")), np.uint8(ord("-")))
+    rows = np.ascontiguousarray(signs.T).view(f"S{n}").ravel()
+    return [key.decode("ascii") for key in rows.tolist()]
 
 
 def state_from_key(key: str) -> tuple[int, int]:
@@ -201,6 +220,13 @@ class CompleteStateTable:
     def value_of(self, state: int) -> TfuValue:
         return self.values[state]
 
+    @cached_property
+    def false_mask(self) -> np.ndarray:
+        """Read-only bool array: which complete states are manifestly false."""
+        mask = np.array([v is F for v in self.values], dtype=bool)
+        mask.setflags(write=False)
+        return mask
+
     def flip(self, prop: int) -> "CompleteStateTable":
         """The table of the same situation with proposition `prop` replaced
         by its negation (swaps the two halves along that bit)."""
@@ -217,17 +243,9 @@ def _check_prop(prop: int, n: int) -> None:
 def derive_value(prop: int, table: CompleteStateTable) -> TfuValue:
     """Value of a single proposition from the table, by rules I and II."""
     _check_prop(prop, table.n)
-    n = table.n
-    aff_all_false = all(
-        table.values[s] is F
-        for s in range(state_count(n))
-        if affirms(s, prop, n)
-    )
-    neg_all_false = all(
-        table.values[s] is F
-        for s in range(state_count(n))
-        if not affirms(s, prop, n)
-    )
+    affirm = _affirm_table(table.n)[prop]
+    aff_all_false = table.false_mask[affirm].all()
+    neg_all_false = table.false_mask[~affirm].all()
     if aff_all_false and neg_all_false:
         # Unreachable through a validated table (it would be all-F);
         # kept as a guard against hand-built inconsistent inputs.
@@ -249,12 +267,13 @@ def _cell_all_false(
     table: CompleteStateTable, p: int, p_affirm: bool, q: int, q_affirm: bool
 ) -> bool:
     """Whether every complete state refining the polarity cell is F."""
-    n = table.n
-    return all(
-        table.values[s] is F
-        for s in range(state_count(n))
-        if affirms(s, p, n) == p_affirm and affirms(s, q, n) == q_affirm
-    )
+    return bool(table.false_mask[_cell_mask(table.n, p, p_affirm, q, q_affirm)].all())
+
+
+def _cell_mask(n: int, p: int, p_affirm: bool, q: int, q_affirm: bool) -> np.ndarray:
+    """The complete states refining the polarity cell (p, q)."""
+    affirm = _affirm_table(n)
+    return (affirm[p] == p_affirm) & (affirm[q] == q_affirm)
 
 
 def conjunction_value(
@@ -274,14 +293,10 @@ def conjunction_value(
     _check_prop(q, table.n)
     if p == q:
         raise ValidationError("conjunction_value needs two distinct propositions")
-    n = table.n
-    inside = {
-        s for s in range(state_count(n))
-        if affirms(s, p, n) == p_affirm and affirms(s, q, n) == q_affirm
-    }
-    if all(table.values[s] is F for s in inside):
+    inside = _cell_mask(table.n, p, p_affirm, q, q_affirm)
+    if table.false_mask[inside].all():
         return F
-    if all(table.values[s] is F for s in range(state_count(n)) if s not in inside):
+    if table.false_mask[~inside].all():
         return T
     return U
 

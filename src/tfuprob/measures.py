@@ -27,6 +27,7 @@ Keys like "TU" name cells in files and reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,11 +63,20 @@ def cell_from_key(key: str) -> tuple[int, int]:
     return cell, n
 
 
+@lru_cache(maxsize=8)
+def _digit_table(n: int) -> np.ndarray:
+    """Read-only (n, 3^n) uint8 table: row k is the digit of proposition k
+    (0=T, 1=F, 2=U) of every cell. Built on first use, n * 3^n bytes."""
+    table = np.indices((3,) * n, dtype=np.uint8).reshape(n, -1)
+    table.setflags(write=False)
+    return table
+
+
 def _digits(n: int, prop: int) -> np.ndarray:
     """Digit of `prop` (0=T, 1=F, 2=U) for every cell index, vectorized."""
     if not 0 <= prop < n:
         raise ValidationError(f"proposition index {prop} out of range for n={n}")
-    return (np.arange(cell_count(n)) // 3 ** (n - 1 - prop)) % 3
+    return _digit_table(n)[prop]
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,25 +175,20 @@ def decided_distribution(m: TfuMeasureAssignment, tol: float = 0.0) -> Classical
     any U-cell mass above tol is an error, since it has no classical home.
     """
     n = m.n
+    digits = _digit_table(n)
+    decided = (digits != _U).all(axis=0)
+    stray = ~decided & (m.measures > tol)
+    if stray.any():
+        cell = int(np.argmax(stray))  # the first such cell
+        raise ValidationError(
+            f"cell {cell_key(cell, n)} carries undecided measure "
+            f"{m.measures[cell]!r}; no classical counterpart"
+        )
+    # a decided cell's T/F digits are its state's bits (F = negated = 1),
+    # so the decided cells map one to one onto the states
+    states = (1 << np.arange(n - 1, -1, -1)) @ digits[:, decided]
     probs = np.zeros(state_count(n))
-    total = float(m.measures.sum())
-    for cell in range(cell_count(n)):
-        state = 0
-        undecided = False
-        for k in range(n):
-            digit = (cell // 3 ** (n - 1 - k)) % 3
-            if digit == _U:
-                undecided = True
-                break
-            state = (state << 1) | (1 if digit == _F else 0)
-        if undecided:
-            if m.measures[cell] > tol:
-                raise ValidationError(
-                    f"cell {cell_key(cell, n)} carries undecided measure "
-                    f"{m.measures[cell]!r}; no classical counterpart"
-                )
-            continue
-        probs[state] += m.measures[cell] / total
+    probs[states] += m.measures[decided] / float(m.measures.sum())
     return ClassicalDistribution(probs)
 
 
@@ -214,20 +219,13 @@ class DecidabilityAugmentedSpace:
 
 def tfu_from_augmented(space: DecidabilityAugmentedSpace) -> TfuMeasureAssignment:
     n = space.n
-    total_props = 2 * n
     probs = space.distribution.probs
-    measures = np.zeros(cell_count(n))
-    for state in range(probs.size):
-        cell = 0
-        for k in range(n):
-            base_affirm = (state >> (total_props - 1 - k)) & 1 == 0
-            flag_affirm = (state >> (total_props - 1 - (n + k))) & 1 == 0
-            if not flag_affirm:
-                digit = _U
-            elif base_affirm:
-                digit = _T
-            else:
-                digit = _F
-            cell = cell * 3 + digit
-        measures[cell] += probs[state]
+    states = np.arange(probs.size)
+    cells = np.zeros(probs.size, dtype=np.intp)
+    for k in range(n):
+        base_bit = (states >> (2 * n - 1 - k)) & 1  # 1 = negated, digit F
+        flag_bit = (states >> (n - 1 - k)) & 1  # 1 = flag negated, digit U
+        cells = cells * 3 + np.where(flag_bit == 1, _U, base_bit)
+    # bincount adds the weights in ascending state order, as a loop would
+    measures = np.bincount(cells, weights=probs, minlength=cell_count(n))
     return TfuMeasureAssignment(n, measures)

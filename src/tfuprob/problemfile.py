@@ -65,7 +65,27 @@ def _need(payload: dict, key: str, kind, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemFileError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ProblemFileError(
+            f"{where}: integer of {value.bit_length()} bits is out of float range"
+        ) from None
+
+
+def _numbers(values: list, where: str) -> np.ndarray:
+    """Float array of a list of JSON numbers, each checked as _number does."""
+    if set(map(type, values)) != {float}:  # a list of floats needs no check
+        values = [_number(v, where) for v in values]
+    return np.array(values, dtype=float)
+
+
+def _integer(payload: dict, key: str, default: int, where: str) -> int:
+    """An optional integer field; a float, bool, string or null is an error."""
+    value = payload.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProblemFileError(f"{where}: field {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _amplitude(value, where: str) -> complex:
@@ -90,8 +110,8 @@ def parse_projector_spec(raw, where: str, dim: int | None = None) -> HermitianPr
         spec = QubitDirection(
             theta=_number(_need(raw, "theta", None, where), where),
             phi=_number(raw.get("phi", 0.0), where),
-            factor=int(raw.get("factor", 0)),
-            n_factors=int(raw.get("n_factors", 1)),
+            factor=_integer(raw, "factor", 0, where),
+            n_factors=_integer(raw, "n_factors", 1, where),
         )
         return projector_from_spec(spec, dim=dim)
     if kind == "diagonal":
@@ -102,6 +122,11 @@ def parse_projector_spec(raw, where: str, dim: int | None = None) -> HermitianPr
         return proj
     if kind == "subspace":
         rows = _need(raw, "vectors", list, where)
+        if not all(isinstance(row, list) for row in rows):
+            raise ProblemFileError(f"{where}: each of the vectors must be a list of amplitudes")
+        lengths = {len(row) for row in rows}
+        if len(lengths) > 1:
+            raise ProblemFileError(f"{where}: vectors differ in length ({sorted(lengths)})")
         vectors = np.array(
             [[_amplitude(v, where) for v in row] for row in rows], dtype=complex
         )
@@ -201,7 +226,7 @@ def _parse_classical(payload: dict) -> ClassicalProblem:
             n, {k: _number(v, "classical.probs") for k, v in probs.items()}
         )
     else:
-        arr = np.array([_number(v, "classical.probs") for v in probs])
+        arr = _numbers(probs, "classical.probs")
         if arr.size != 1 << n:
             raise ProblemFileError(
                 f"classical: probs has {arr.size} entries, expected {1 << n} for n={n}"
@@ -218,7 +243,7 @@ def _parse_tfu_measure(payload: dict) -> TfuMeasureProblem:
             n, {k: _number(v, "tfu-measure.measures") for k, v in measures.items()}
         )
     else:
-        arr = np.array([_number(v, "tfu-measure.measures") for v in measures])
+        arr = _numbers(measures, "tfu-measure.measures")
         assignment = TfuMeasureAssignment(n, arr)
     return TfuMeasureProblem(assignment)
 
@@ -263,7 +288,7 @@ def _parse_wde(payload: dict) -> Problem:
                 3, {k: _number(v, "wde.probs") for k, v in probs.items()}
             )
         else:
-            dist = ClassicalDistribution(np.array([_number(v, "wde.probs") for v in probs]))
+            dist = ClassicalDistribution(_numbers(probs, "wde.probs"))
         return WdeClassicalProblem(dist)
     if variant == "tfu-sets":
         raw_items = _need(payload, "items", list, "wde")
@@ -287,7 +312,7 @@ def _parse_wde(payload: dict) -> Problem:
         ordering = payload.get("ordering")
         if ordering is not None and ordering not in ORDERINGS:
             raise ProblemFileError(f"wde: unknown ordering {ordering!r}")
-        factor = int(payload.get("factor", 0))
+        factor = _integer(payload, "factor", 0, "wde")
         directions = None
         projectors = None
         if "directions" in payload:
@@ -348,7 +373,9 @@ _PARSERS = {
 def loads(text: str) -> ProblemFile:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer literal over the str-to-int digit
+        # limit, or nesting deeper than the decoder's recursion limit
         raise ProblemFileError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ProblemFileError("problem file must be a JSON object")

@@ -170,6 +170,11 @@ def orthonormalize(vectors: np.ndarray, tol: float = INDEPENDENCE_TOL) -> np.nda
 def projector_from_spec(spec: ProjectorSpec, dim: int | None = None) -> HermitianProjector:
     """Materialize a projector description as an explicit matrix."""
     if isinstance(spec, QubitDirection):
+        if dim is not None and dim != 1 << min(spec.n_factors, int(dim).bit_length()):
+            # checked before the 2^n_factors-square kron product is built
+            raise ValidationError(
+                f"{spec.n_factors} qubit factors do not match the required dim {dim}"
+            )
         single = np.outer(qubit_state(spec.theta, spec.phi),
                           qubit_state(spec.theta, spec.phi).conj())
         mat = np.eye(1, dtype=complex)

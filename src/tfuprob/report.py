@@ -9,21 +9,43 @@ the same bytes, which is the round-trip the test suite pins down.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii  # what json.dumps does to a str
 
 import numpy as np
 
 from .errors import ValidationError
 
 
+_NON_FINITE = "reports cannot carry NaN or infinite values"
+_FLOAT_ONLY = {float}
+
+
 def format_float(value: float) -> str:
     """12 significant digits; always a valid JSON number."""
     if math.isnan(value) or math.isinf(value):
-        raise ValidationError("reports cannot carry NaN or infinite values")
+        raise ValidationError(_NON_FINITE)
     if value == 0.0:
         return "0"  # normalize the sign of zero
     return format(value, ".12g")
+
+
+def _joined_floats(items) -> str | None:
+    """format_float of every item, joined by commas, when all items are
+    Python floats; else None.
+
+    Reports are mostly lists of floats, long ones and [re, im] pairs; one
+    %-format over the whole list gives the same text as format_float on
+    each item, at a fraction of the cost.
+    """
+    if set(map(type, items)) != _FLOAT_ONLY:
+        return None
+    if 0.0 in items:  # normalize the sign of zero, as format_float does
+        items = [x or 0.0 for x in items]
+    joined = ",".join(["%.12g"] * len(items)) % tuple(items)
+    if "n" in joined:  # "inf" or "nan": only a non-finite float has an n
+        raise ValidationError(_NON_FINITE)
+    return joined
 
 
 def _emit(obj, out: list[str]) -> None:
@@ -36,7 +58,7 @@ def _emit(obj, out: list[str]) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
@@ -48,11 +70,15 @@ def _emit(obj, out: list[str]) -> None:
                 raise ValidationError(f"report keys must be strings, got {key!r}")
             if pos:
                 out.append(",")
-            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(encode_basestring_ascii(key))
             out.append(":")
             _emit(obj[key], out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
+        joined = _joined_floats(obj)
+        if joined is not None:
+            out.append("[" + joined + "]")
+            return
         out.append("[")
         for pos, item in enumerate(obj):
             if pos:
@@ -70,15 +96,21 @@ def dumps_canonical(report: dict) -> str:
     return "".join(out) + "\n"
 
 
-def _flatten(obj, prefix: str, rows: list[tuple[str, object]]) -> None:
+def _flatten(obj, prefix: str, rows: list[tuple[str, str]]) -> None:
+    """Append a (label, rendered value) row for every leaf of obj."""
     if isinstance(obj, dict):
         for key in sorted(obj):
             _flatten(obj[key], f"{prefix}.{key}" if prefix else str(key), rows)
     elif isinstance(obj, (list, tuple)):
+        joined = _joined_floats(obj)
+        if joined is not None:  # no formatted float contains a comma
+            for pos, text in enumerate(joined.split(",")):
+                rows.append((f"{prefix}[{pos}]", text))
+            return
         for pos, item in enumerate(obj):
             _flatten(item, f"{prefix}[{pos}]", rows)
     else:
-        rows.append((prefix, obj))
+        rows.append((prefix, _cell(obj)))
 
 
 def _cell(value) -> str:
@@ -95,11 +127,10 @@ def _cell(value) -> str:
 
 def dumps_csv(report: dict) -> str:
     """Flat label,value rows; lists are indexed, nesting is dotted."""
-    rows: list[tuple[str, object]] = []
+    rows: list[tuple[str, str]] = []
     _flatten(report, "", rows)
     lines = ["label,value"]
-    for label, value in rows:
-        text = _cell(value)
+    for label, text in rows:
         if "," in text or '"' in text:
             text = '"' + text.replace('"', '""') + '"'
         if "," in label or '"' in label:
@@ -110,10 +141,10 @@ def dumps_csv(report: dict) -> str:
 
 def dumps_table(report: dict) -> str:
     """Aligned two-column text for terminals."""
-    rows: list[tuple[str, object]] = []
+    rows: list[tuple[str, str]] = []
     _flatten(report, "", rows)
     width = max((len(label) for label, _ in rows), default=0)
-    lines = [f"{label.ljust(width)}  {_cell(value)}" for label, value in rows]
+    lines = [f"{label.ljust(width)}  {text}" for label, text in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import tfuprob.checks
 import tfuprob.classical
 import tfuprob.cli
+import tfuprob.report
 from tfuprob.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -254,6 +256,172 @@ def test_exit_code_undefined_conditional(capsys, tmp_path):
     code, _, err = run_cli(capsys, "eval", str(all_u))
     assert code == 4
     assert "[p]" in err and "undecidable" in err
+
+
+SINGLET_STATE = [0, 0.7071067811865476, -0.7071067811865476, 0]
+WDE_PAIRED = {
+    "version": 1, "mode": "wde", "variant": "quantum", "protocol": "paired",
+    "state": SINGLET_STATE,
+    "directions": {"a": {"theta": 0}, "b": {"theta": 1}, "c": {"theta": 2}},
+}
+
+
+def _quantum_with(spec):
+    return {"version": 1, "mode": "quantum", "state": [1, 0], "projectors": {"P": spec}}
+
+
+QUBIT = {"type": "qubit-direction", "theta": 0}
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        pytest.param(
+            json.dumps({**WDE_PAIRED, "factor": "x"}), "'factor' must be an integer, got 'x'",
+            id="wde-factor-string",
+        ),
+        pytest.param(
+            json.dumps({**WDE_PAIRED, "factor": None}), "'factor' must be an integer, got None",
+            id="wde-factor-null",
+        ),
+        pytest.param(
+            json.dumps({**WDE_PAIRED, "factor": 1.5}), "'factor' must be an integer, got 1.5",
+            id="wde-factor-fraction",
+        ),
+        pytest.param(
+            json.dumps({**WDE_PAIRED, "factor": True}), "'factor' must be an integer, got True",
+            id="wde-factor-bool",
+        ),
+        pytest.param(
+            json.dumps(_quantum_with({**QUBIT, "factor": "x"})), "'factor' must be an integer",
+            id="qubit-factor-string",
+        ),
+        pytest.param(
+            json.dumps(_quantum_with({**QUBIT, "factor": 0.0})), "'factor' must be an integer",
+            id="qubit-factor-float",
+        ),
+        pytest.param(
+            json.dumps(_quantum_with({**QUBIT, "n_factors": None})),
+            "'n_factors' must be an integer",
+            id="qubit-n-factors-null",
+        ),
+        pytest.param(
+            json.dumps(_quantum_with({**QUBIT, "n_factors": 1.5})),
+            "'n_factors' must be an integer",
+            id="qubit-n-factors-fraction",
+        ),
+        pytest.param(
+            '{"version": 1, "mode": "classical", "n": 1, "probs": [1' + "0" * 400 + ", 0]}",
+            "classical.probs: integer of 1329 bits is out of float range",
+            id="probs-int-beyond-float",
+        ),
+        pytest.param(
+            '{"version": 1, "mode": "tfu-measure", "n": 1, "measures": {"T": 1' + "0" * 400 + "}}",
+            "out of float range",
+            id="measures-int-beyond-float",
+        ),
+        pytest.param(
+            json.dumps(_quantum_with({"type": "subspace", "vectors": [[1, 0], [1]]})),
+            "vectors differ in length ([1, 2])",
+            id="subspace-ragged",
+        ),
+        pytest.param(
+            json.dumps(_quantum_with({"type": "subspace", "vectors": [1, 0]})),
+            "each of the vectors must be a list",
+            id="subspace-not-rows",
+        ),
+        pytest.param(
+            '{"version": 1, "mode": "classical", "n": 1, "probs": [1' + "0" * 5000 + ", 0]}",
+            "not valid JSON",
+            id="int-over-digit-limit",
+        ),
+        pytest.param(
+            '{"version": 1, "mode": "classical", "n": 1, "probs": '
+            + "[" * 100000 + "]" * 100000 + "}",
+            "not valid JSON",
+            id="nesting-over-recursion-limit",
+        ),
+    ],
+)
+def test_malformed_fields_exit_2_with_one_line(capsys, tmp_path, text, fragment):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "eval", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert fragment in err
+
+
+def test_qubit_factor_count_checked_against_state_before_building(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_quantum_with({**QUBIT, "n_factors": 1_000_000})))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "eval", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == "" and err.count("\n") == 1
+    assert "1000000 qubit factors do not match the required dim 2" in err
+    assert peak < 2**20
+
+
+def test_eval_classical_cosines_match_fresh_directions(capsys, tmp_path):
+    # each projected direction is computed once and reused across pairs;
+    # every cosine must equal one taken from directions built on the spot
+    rng = np.random.default_rng(97)
+    probs = rng.uniform(size=16) * (rng.random(16) < 0.7)
+    probs[[0, 5]] += 0.1  # no proposition is null
+    probs = (probs / probs.sum()).tolist()
+    path = tmp_path / "classical4.json"
+    path.write_text(json.dumps({"version": 1, "mode": "classical", "n": 4, "probs": probs}))
+    code, out, err = run_cli(capsys, "eval", str(path))
+    assert code == 0, err
+    res = json.loads(out)["results"]
+    cl = tfuprob.classical
+    vec = cl.build_state_vector(cl.ClassicalDistribution(np.array(probs)))
+    names = "p0 p1 p2 p3".split()
+    projs = [cl.projector_for(i, 4) for i in range(4)]
+    fmt = tfuprob.report.format_float
+    for i, pn in enumerate(names):
+        want = cl.cos2(cl.state_direction(vec), cl.projected_direction(projs[i], vec))
+        assert fmt(res["propositions"][pn][f"cos2({pn.upper()},S)"]) == fmt(want)
+        for j in range(i + 1, 4):
+            qn = names[j]
+            entry = res["pairs"][f"{pn},{qn}"]
+            dir_p = cl.projected_direction(projs[i], vec)
+            dir_q = cl.projected_direction(projs[j], vec)
+            dir_pq = cl.projected_direction(cl.and_op(projs[i], projs[j]), vec)
+            P, Q = pn.upper(), qn.upper()
+            assert fmt(entry[f"cos2({P},{Q})"]) == fmt(cl.cos2(dir_p, dir_q))
+            assert fmt(entry[f"cos2({P},{P}{Q})"]) == fmt(cl.cos2(dir_p, dir_pq))
+            assert fmt(entry[f"cos2({Q},{P}{Q})"]) == fmt(cl.cos2(dir_q, dir_pq))
+
+
+# sha256 of stdout for the fixtures whose eval paths run through the cached
+# digit and affirm tables, the reused classical directions and the bulk
+# float rendering. These are the bytes the per-state loops and per-item
+# rendering printed, so a later speed-up must print them too.
+GOLDEN_EVAL_SHA256 = {
+    ("tfu_table.json", "structured"): "89f6c1b4364b0569cb3a7e4bdd315a5969cf3af42ee8bb001773d97bc02b6703",
+    ("tfu_table.json", "csv"): "74f061a942075c76744dfc4a89e94b66231875d30bd439d0dbf84fec7156cfc3",
+    ("tfu_table.json", "table"): "b182b6a7904318c5e0803053e469da66055809551b7afac2c5e0add52ccbb3b0",
+    ("tfu_measure.json", "structured"): "e26c138a47cfafc8dfd8cffc000d3c21030c0d09d57d5b087bb544fb02e4fc2a",
+    ("tfu_measure.json", "csv"): "8b68f8540d46015f76414574dc95c7c9518686bd52c1930065b7781396d533c4",
+    ("tfu_measure.json", "table"): "bd8f5353d54ddf20e3dfb1a52e22d5d0918c69d98f6b3273aa8ac9f01d9d8b4b",
+    ("classical.json", "structured"): "95be2b97232ed08e6c89240c92d86338a13ef5ec4ed6d3d2ebb78cf4d223d406",
+    ("classical.json", "csv"): "e39bcc5f62cdc49ac8b01bbf9f4d2c31ca863799e30b29b32db90f39cf2f78e8",
+    ("classical.json", "table"): "881e682134562437aa90e923ff07426988853f54b979bab735c5c55d7047df0f",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(GOLDEN_EVAL_SHA256))
+def test_eval_output_bytes_are_pinned(capsys, name, fmt):
+    code, out, err = run_cli(capsys, "eval", str(FIXTURES / name), "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EVAL_SHA256[name, fmt]
 
 
 def test_check_passes_and_is_byte_identical(capsys):

@@ -19,6 +19,8 @@ from tfuprob.logic import (
     negate,
     state_from_key,
     state_key,
+    state_keys,
+    _cell_all_false,
 )
 
 ALL = (T, F, U)
@@ -202,3 +204,112 @@ def test_tfu_value_parse_and_errors():
     assert TfuValue.parse(" U ") is U
     with pytest.raises(ValidationError, match="unknown truth tag"):
         TfuValue.parse("X")
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the per-state walks that derive_value, _cell_all_false
+# and conjunction_value replaced with boolean masks; the masks must agree
+# with them exactly
+
+def _affirms_oracle(state, prop, n):
+    return (state >> (n - 1 - prop)) & 1 == 0
+
+
+def _derive_oracle(prop, table):
+    n = table.n
+    aff_all_false = all(
+        table.values[s] is F for s in range(1 << n) if _affirms_oracle(s, prop, n)
+    )
+    neg_all_false = all(
+        table.values[s] is F for s in range(1 << n) if not _affirms_oracle(s, prop, n)
+    )
+    if aff_all_false:
+        return F
+    if neg_all_false:
+        return T
+    return U
+
+
+def _cell_all_false_oracle(table, p, p_affirm, q, q_affirm):
+    n = table.n
+    return all(
+        table.values[s] is F
+        for s in range(1 << n)
+        if _affirms_oracle(s, p, n) == p_affirm and _affirms_oracle(s, q, n) == q_affirm
+    )
+
+
+def _conjunction_oracle(table, p, q, p_affirm, q_affirm):
+    n = table.n
+    inside = {
+        s for s in range(1 << n)
+        if _affirms_oracle(s, p, n) == p_affirm and _affirms_oracle(s, q, n) == q_affirm
+    }
+    if all(table.values[s] is F for s in inside):
+        return F
+    if all(table.values[s] is F for s in range(1 << n) if s not in inside):
+        return T
+    return U
+
+
+def _assert_matches_oracles(table):
+    n = table.n
+    for p in range(n):
+        assert derive_value(p, table) is _derive_oracle(p, table)
+    for p, q in itertools.permutations(range(n), 2):
+        for p_affirm, q_affirm in itertools.product((True, False), repeat=2):
+            assert conjunction_value(table, p, q, p_affirm, q_affirm) is _conjunction_oracle(
+                table, p, q, p_affirm, q_affirm
+            )
+            assert _cell_all_false(table, p, p_affirm, q, q_affirm) is _cell_all_false_oracle(
+                table, p, p_affirm, q, q_affirm
+            )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_masks_match_state_walk_on_every_valid_table(n):
+    count = 0
+    for table in _all_valid_tables(n):
+        _assert_matches_oracles(table)
+        count += 1
+    # 3^(2^n) tables, less those with two or more T cells and the all-F one
+    assert count == {1: 7, 2: 47, 3: 1279}[n]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_masks_match_state_walk_on_random_tables(n):
+    rng = np.random.default_rng([51, n])
+    values = np.array(ALL, dtype=object)
+    for _ in range(12):
+        # mostly F, so that all-false cells and both rules do fire
+        combo = list(values[rng.choice(3, size=1 << n, p=[0.0, 0.85, 0.15])])
+        if rng.random() < 0.5:
+            combo[int(rng.integers(1 << n))] = T
+        if all(v is F for v in combo):
+            combo[0] = U
+        _assert_matches_oracles(CompleteStateTable(n, tuple(combo)))
+
+
+def test_false_mask_is_read_only_and_cached():
+    table = CompleteStateTable.from_mapping(2, {"++": "F", "--": "T"})
+    mask = table.false_mask
+    assert mask.tolist() == [True, False, False, False]
+    assert table.false_mask is mask
+    with pytest.raises(ValueError):
+        mask[0] = False
+
+
+@pytest.mark.parametrize("prop", [-1, 3, 7])
+def test_out_of_range_proposition_rejected(prop):
+    table = CompleteStateTable.from_mapping(3, {"+++": "F"})
+    with pytest.raises(ValidationError, match="out of range"):
+        derive_value(prop, table)
+    with pytest.raises(ValidationError, match="out of range"):
+        conjunction_value(table, prop, 0 if prop != 0 else 1)
+    with pytest.raises(ValidationError, match="out of range"):
+        conjunction_value(table, 1, prop)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_state_keys_match_state_key(n):
+    assert state_keys(n) == [state_key(s, n) for s in range(1 << n)]

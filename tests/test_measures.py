@@ -17,6 +17,7 @@ from tfuprob.measures import (
     tfu_conditional,
     tfu_from_augmented,
     tfu_probability,
+    _digits,
 )
 
 
@@ -211,3 +212,129 @@ def test_augmented_gap_matches_direct_gap():
         forward = tfu_probability(0, m) * tfu_conditional(1, 0, m)
         backward = tfu_probability(1, m) * tfu_conditional(0, 1, m)
         assert abs(g - (forward - backward)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the per-call digit arithmetic and the per-cell loops
+# that the cached digit table replaced; results must agree bit for bit
+
+def _digits_oracle(n, prop):
+    return (np.arange(3 ** n) // 3 ** (n - 1 - prop)) % 3
+
+
+def _decided_distribution_oracle(m, tol=0.0):
+    n = m.n
+    probs = np.zeros(1 << n)
+    total = float(m.measures.sum())
+    for cell in range(3 ** n):
+        state = 0
+        undecided = False
+        for k in range(n):
+            digit = (cell // 3 ** (n - 1 - k)) % 3
+            if digit == 2:
+                undecided = True
+                break
+            state = (state << 1) | (1 if digit == 1 else 0)
+        if undecided:
+            if m.measures[cell] > tol:
+                raise ValidationError(
+                    f"cell {cell_key(cell, n)} carries undecided measure "
+                    f"{m.measures[cell]!r}; no classical counterpart"
+                )
+            continue
+        probs[state] += m.measures[cell] / total
+    return probs
+
+
+def _tfu_from_augmented_oracle(space):
+    n = space.n
+    probs = space.distribution.probs
+    measures = np.zeros(3 ** n)
+    for state in range(probs.size):
+        cell = 0
+        for k in range(n):
+            base_affirm = (state >> (2 * n - 1 - k)) & 1 == 0
+            flag_affirm = (state >> (n - 1 - k)) & 1 == 0
+            digit = 2 if not flag_affirm else (0 if base_affirm else 1)
+            cell = cell * 3 + digit
+        measures[cell] += probs[state]
+    return measures
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_digit_table_matches_per_call_arithmetic(n):
+    rng = np.random.default_rng([61, n])
+    for prop in range(n):
+        assert np.array_equal(_digits(n, prop), _digits_oracle(n, prop))
+    for _ in range(3):
+        # exact zeros in some cells, so masks that drop cells would show
+        w = rng.uniform(size=3 ** n) * (rng.random(3 ** n) < 0.8) + 1e-300
+        m = TfuMeasureAssignment(n, w)
+        for prop in range(n):
+            dp = _digits_oracle(n, prop)
+            for digit in range(3):
+                assert m.mass_where(prop, digit) == float(w[dp == digit].sum())
+            step = 3 ** (n - 1 - prop)
+            source = np.arange(3 ** n) + np.where(dp == 0, step, np.where(dp == 1, -step, 0))
+            assert _same_bits(swap_tf(m, prop).measures, w[source])
+        for p, q in itertools.permutations(range(n), 2):
+            dp, dq = _digits_oracle(n, p), _digits_oracle(n, q)
+            tt = float(w[(dp == 0) & (dq == 0)].sum())
+            tf = float(w[(dp == 0) & (dq == 1)].sum())
+            assert tfu_conditional(q, p, m) == tt / (tt + tf)
+
+
+@pytest.mark.parametrize("prop", [-1, 2, 5])
+def test_digits_reject_out_of_range_proposition(prop):
+    m = TfuMeasureAssignment(2, np.ones(9))
+    with pytest.raises(ValidationError, match="out of range"):
+        _digits(2, prop)
+    with pytest.raises(ValidationError, match="out of range"):
+        m.mass_where(prop, 0)
+    with pytest.raises(ValidationError, match="out of range"):
+        tfu_conditional(prop, 0 if prop != 0 else 1, m)
+
+
+def test_digit_table_is_read_only():
+    with pytest.raises(ValueError):
+        _digits(3, 1)[0] = 2
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_decided_distribution_matches_cell_loop(n):
+    rng = np.random.default_rng([67, n])
+    undecided = np.any([_digits_oracle(n, k) == 2 for k in range(n)], axis=0)
+    for _ in range(4):
+        w = rng.uniform(size=3 ** n) * (rng.random(3 ** n) < 0.8)
+        w[~undecided] += 1e-3
+        clean = np.where(undecided, 0.0, w)
+        m = TfuMeasureAssignment(n, clean)
+        assert _same_bits(decided_distribution(m).probs, _decided_distribution_oracle(m))
+        # with U-mass the same first offending cell is named
+        if w[undecided].max() > 0:
+            m = TfuMeasureAssignment(n, w)
+            with pytest.raises(ValidationError) as want:
+                _decided_distribution_oracle(m)
+            with pytest.raises(ValidationError) as got:
+                decided_distribution(m)
+            assert str(got.value) == str(want.value)
+            # a tol above a trace of U-mass lets it pass, uncounted
+            m = TfuMeasureAssignment(n, np.where(undecided, w * 1e-16, w))
+            tol = float(m.measures[undecided].max())
+            assert _same_bits(
+                decided_distribution(m, tol).probs, _decided_distribution_oracle(m, tol)
+            )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_tfu_from_augmented_matches_state_loop(n):
+    rng = np.random.default_rng([71, n])
+    for _ in range(4):
+        w = rng.uniform(size=1 << (2 * n)) * (rng.random(1 << (2 * n)) < 0.8) + 1e-6
+        space = DecidabilityAugmentedSpace(ClassicalDistribution(w / w.sum()))
+        assert _same_bits(tfu_from_augmented(space).measures, _tfu_from_augmented_oracle(space))

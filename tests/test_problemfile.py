@@ -200,3 +200,20 @@ def test_wde_quantum_unknown_protocol_and_ordering():
         loads(base % ("osmosis", "null"))
     with pytest.raises(ProblemFileError, match="unknown ordering"):
         loads(base % ("shared", '"shuffled"'))
+
+
+@pytest.mark.parametrize("mode, field", [("classical", "probs"), ("tfu-measure", "measures")])
+def test_number_lists_checked_item_by_item_unless_all_floats(mode, field):
+    size = 2 if mode == "classical" else 3
+    floats = [0.5, 0.5] + [0.0] * (size - 2)
+    base = {"version": 1, "mode": mode, "n": 1}
+    problem = loads(json.dumps({**base, field: floats})).problem
+    got = problem.distribution.probs if mode == "classical" else problem.assignment.measures
+    assert got.dtype == np.float64 and got.tolist() == floats
+    mixed = [1, 0] + [0] * (size - 2)
+    problem = loads(json.dumps({**base, field: mixed})).problem
+    got = problem.distribution.probs if mode == "classical" else problem.assignment.measures
+    assert got.dtype == np.float64 and got.tolist() == mixed
+    for bad in (True, "0.5", None, [0.5]):
+        with pytest.raises(ProblemFileError, match="expected a number"):
+            loads(json.dumps({**base, field: [0.5, bad] + [0.0] * (size - 2)}))

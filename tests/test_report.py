@@ -78,3 +78,65 @@ def test_render_dispatch():
     assert render(report, "table") == dumps_table(report)
     with pytest.raises(ValidationError, match="unknown format"):
         render(report, "yaml")
+
+
+# ---------------------------------------------------------------------------
+# the bulk path for all-float lists against the per-item path
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, -2.5, 1e-5, 123456789012345.0]
+MIXED_LISTS = {
+    "floats": EDGE_FLOATS,
+    "tuple": tuple(EDGE_FLOATS),
+    "ints": [0, -1, 2**70],
+    "bools": [True, False, 0.5],
+    "numpy": [np.float64(-0.0), np.float64(1 / 3), 0.25],
+    "mixed": [1, 0.5, -0.0, None, "x,y"],
+    "nested": [[0.25, -0.0], [[1e308], []], [1, 2.5]],
+    "empty": [],
+    "pairs": [[0.1, -0.2], [-0.0, 0.0], [5e-324, 1e308], [1 / 3, 2]],
+    "single": [-0.0],
+}
+
+
+def _render_per_item(report, fmt, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr("tfuprob.report._joined_floats", lambda items: None)
+        return render(report, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["structured", "csv", "table"])
+def test_bulk_float_lists_render_like_per_item(fmt, monkeypatch):
+    report = {"lists": MIXED_LISTS, "pair": [0.5, -0.5], "deep": {"a,b": {"v": EDGE_FLOATS}}}
+    assert render(report, fmt) == _render_per_item(report, fmt, monkeypatch)
+
+
+@pytest.mark.parametrize("fmt", ["structured", "csv", "table"])
+def test_bulk_floats_match_format_float_on_random_bits(fmt, monkeypatch):
+    rng = np.random.default_rng(83)
+    values = rng.integers(0, 2**63, size=4000, dtype=np.uint64).view(np.float64)
+    values = [float(v) for v in values[np.isfinite(values)]]
+    values += [float(v) for v in rng.standard_normal(500) * 10.0 ** rng.integers(-20, 20, 500)]
+    report = {"values": values}
+    assert render(report, fmt) == _render_per_item(report, fmt, monkeypatch)
+    if fmt == "structured":
+        assert render(report, fmt) == "{\"values\":[" + ",".join(map(format_float, values)) + "]}\n"
+
+
+@pytest.mark.parametrize("fmt", ["structured", "csv", "table"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_bulk_float_lists_reject_non_finite_like_format_float(fmt, bad):
+    with pytest.raises(ValidationError) as want:
+        format_float(bad)
+    for items in ([bad], [0.5, bad], [bad, -0.0, 1.0]):
+        with pytest.raises(ValidationError) as got:
+            render({"x": items}, fmt)
+        assert str(got.value) == str(want.value)
+
+
+def test_bulk_path_takes_only_lists_of_python_floats():
+    from tfuprob.report import _joined_floats
+
+    assert _joined_floats(EDGE_FLOATS) == ",".join(map(format_float, EDGE_FLOATS))
+    assert _joined_floats((0.5, -0.0)) == "0.5,0"
+    for name in ("ints", "bools", "numpy", "mixed", "nested", "empty"):
+        assert _joined_floats(MIXED_LISTS[name]) is None, name
