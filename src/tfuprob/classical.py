@@ -140,10 +140,6 @@ def _same_dim(a: DiagonalProjector, b: DiagonalProjector) -> None:
         raise ValidationError(f"projector dimensions differ: {a.dim} vs {b.dim}")
 
 
-def identity_projector(n: int) -> DiagonalProjector:
-    return DiagonalProjector(np.ones(state_count(n), dtype=bool))
-
-
 def projector_for(target: int | str | Formula, n: int) -> DiagonalProjector:
     """Projector of a proposition index, a formula string, or a parsed formula."""
     if isinstance(target, (int, np.integer)):

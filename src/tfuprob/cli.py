@@ -319,25 +319,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a problem file")
     p_eval.add_argument("file")
     common(p_eval)
-    p_eval.set_defaults(run=cmd_eval)
 
     p_check = sub.add_parser("check", help="run the seeded invariant suites")
     common(p_check)
-    p_check.set_defaults(run=cmd_check)
 
     p_search = sub.add_parser("search", help="scan a grid for an inequality violation")
     p_search.add_argument("file")
     p_search.add_argument("--grid-step", type=float, default=None)
     common(p_search)
-    p_search.set_defaults(run=cmd_search)
 
     return parser
 
 
+# built once: parse_args returns a fresh Namespace on every call
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
+    # looked up per call, so a replaced cmd_* function is the one that runs
+    commands = {"eval": cmd_eval, "check": cmd_check, "search": cmd_search}
     try:
-        return args.run(args)
+        return commands[args.command](args)
     except (ProblemFileError, FormulaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -161,13 +161,6 @@ def default_names(n: int) -> tuple[str, ...]:
     return tuple(f"p{i}" for i in range(n))
 
 
-def state_pretty(state: int, n: int, names: tuple[str, ...] | None = None) -> str:
-    names = names or default_names(n)
-    return "".join(
-        nm if affirms(state, p, n) else "~" + nm for p, nm in enumerate(names)
-    )
-
-
 @dataclass(frozen=True)
 class CompleteStateTable:
     """T/F/U assignment over all 2^n complete states of n propositions.

@@ -26,7 +26,11 @@ ProblemFileError; payloads that parse but violate domain invariants raise
 ValidationError from the domain constructors. The command line maps the
 two to different exit codes. An "n" whose state or cell space (2^n for
 tfu-table and classical, 3^n for tfu-measure) holds more than MAX_CELLS
-entries is a ValidationError, raised before anything is allocated.
+entries is a ValidationError, raised before anything is allocated; so is
+a "state" of more than quantum.MAX_DIM amplitudes. A diagonal "mask" is a
+non-empty list of JSON 0/1 values as long as the state, and "subspace"
+vectors are as long as the state; both are checked before any projector
+is built.
 """
 
 from __future__ import annotations
@@ -40,7 +44,14 @@ from .classical import ClassicalDistribution
 from .errors import ProblemFileError, ValidationError
 from .logic import CompleteStateTable, TfuValue
 from .measures import TfuMeasureAssignment
-from .quantum import ComplexStateVector, HermitianProjector, QubitDirection, SubspaceSpan, projector_from_spec
+from .quantum import (
+    MAX_DIM,
+    ComplexStateVector,
+    HermitianProjector,
+    QubitDirection,
+    SubspaceSpan,
+    projector_from_spec,
+)
 from .wde import ORDERINGS, PROTOCOLS, AngleGrid, TfuPopulation
 
 VERSION = 1
@@ -98,6 +109,10 @@ def _amplitude(value, where: str) -> complex:
 
 def _state(payload: dict, where: str) -> ComplexStateVector:
     raw = _need(payload, "state", list, where)
+    if len(raw) > MAX_DIM:
+        raise ValidationError(
+            f"{where}: state has {len(raw)} amplitudes, over the limit of {MAX_DIM}"
+        )
     amps = np.array([_amplitude(v, f"{where}.state") for v in raw], dtype=complex)
     return ComplexStateVector(amps)
 
@@ -116,10 +131,12 @@ def parse_projector_spec(raw, where: str, dim: int | None = None) -> HermitianPr
         return projector_from_spec(spec, dim=dim)
     if kind == "diagonal":
         mask = _need(raw, "mask", list, where)
-        proj = HermitianProjector.from_diagonal(np.array(mask))
-        if dim is not None and proj.dim != dim:
-            raise ProblemFileError(f"{where}: diagonal mask has dim {proj.dim}, expected {dim}")
-        return proj
+        if dim is not None and len(mask) != dim:
+            raise ProblemFileError(f"{where}: diagonal mask has dim {len(mask)}, expected {dim}")
+        # JSON 0 and 1 (or 0.0 and 1.0); true and false are not numbers here
+        if not mask or not all(type(v) in (int, float) and v in (0, 1) for v in mask):
+            raise ProblemFileError(f"{where}: mask must be a non-empty list of 0/1 values")
+        return HermitianProjector.from_diagonal(np.array(mask))
     if kind == "subspace":
         rows = _need(raw, "vectors", list, where)
         if not all(isinstance(row, list) for row in rows):
@@ -127,6 +144,10 @@ def parse_projector_spec(raw, where: str, dim: int | None = None) -> HermitianPr
         lengths = {len(row) for row in rows}
         if len(lengths) > 1:
             raise ProblemFileError(f"{where}: vectors differ in length ({sorted(lengths)})")
+        if dim is not None and lengths and lengths != {dim}:
+            raise ValidationError(
+                f"{where}: projector dim {lengths.pop()} does not match required {dim}"
+            )
         vectors = np.array(
             [[_amplitude(v, where) for v in row] for row in rows], dtype=complex
         )

@@ -8,9 +8,20 @@ second is a different experiment from the reverse order, and the classical
 product rule picks up exactly the kind of asymmetry the measure engine
 shows for undecidable propositions.
 
-Dimensions stay desk-sized (tensor products of a few qubits, <= 64), so
-everything is dense numpy; dynamics are out of scope, only states,
-projectors and the probability rule.
+A projector takes one of three forms, fixed by how it was built:
+
+* a diagonal mask (`from_diagonal`, `identity`, the complement of a mask),
+  kept as a 0/1 vector and applied as one: P s keeps the masked entries.
+  Two masks commute exactly. The dense matrix is built only on request;
+* a qubit direction (`projector_from_spec`), a 2x2 block placed on its
+  factor of a dense matrix in one step and applied as `matrix @ s`;
+* a subspace span, the dense `B^T B^*` of an orthonormalized basis B.
+
+The library's constructors are correct by construction and skip the d^3
+Hermitian/idempotent check; only a matrix passed in by a caller, as in
+`HermitianProjector(matrix)` or `tensor`, is validated. Problem files are
+limited to states of at most MAX_DIM amplitudes. Dynamics are out of
+scope: only states, projectors and the probability rule.
 """
 
 from __future__ import annotations
@@ -25,6 +36,9 @@ PROJECTOR_TOL = 1e-12
 BORN_CLAMP = 1e-12
 INDEPENDENCE_TOL = 1e-10
 UNITARY_INVARIANCE_TOL = 1e-10
+# Largest state a problem file may give, in amplitudes (ten qubits): a
+# dense projector or commutator at this size holds 16 MiB.
+MAX_DIM = 2**10
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,14 +69,19 @@ class ComplexStateVector:
         return self.dim.bit_length() - 1
 
 
-@dataclass(frozen=True, eq=False)
 class HermitianProjector:
-    """Orthogonal projector: Hermitian and idempotent within 1e-12."""
+    """Orthogonal projector: Hermitian and idempotent within 1e-12.
 
-    matrix: np.ndarray
+    `HermitianProjector(matrix)` validates the caller's matrix. The
+    classmethods and `complement` build a diagonal mask or a trusted dense
+    matrix without that d^3 check; `matrix` is the dense form, built on
+    first use for a mask, and `apply` computes P s in either form.
+    """
 
-    def __post_init__(self):
-        arr = np.asarray(self.matrix, dtype=complex).copy()
+    __slots__ = ("_matrix", "_mask")
+
+    def __init__(self, matrix):
+        arr = np.asarray(matrix, dtype=complex).copy()
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError("projector must be a square matrix")
         herm = float(np.max(np.abs(arr - arr.conj().T)))
@@ -72,25 +91,59 @@ class HermitianProjector:
         if idem > PROJECTOR_TOL:
             raise ValidationError(f"matrix is not idempotent: max deviation {idem!r}")
         arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        self._matrix = arr
+        self._mask = None
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray | None = None, mask: np.ndarray | None = None):
+        """A projector the library built, taking ownership of the array."""
+        proj = object.__new__(cls)
+        for arr in (matrix, mask):
+            if arr is not None:
+                arr.setflags(write=False)
+        proj._matrix = matrix
+        proj._mask = mask
+        return proj
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self._mask.size if self._mask is not None else self._matrix.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense, read-only d x d matrix."""
+        if self._matrix is None:
+            mat = np.zeros((self._mask.size,) * 2, dtype=complex)
+            np.fill_diagonal(mat, self._mask)
+            mat.setflags(write=False)
+            self._matrix = mat
+        return self._matrix
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """P v; a mask keeps the entries it selects, exactly."""
+        if self._mask is not None:
+            return np.where(self._mask, v, 0)
+        return self._matrix @ v
 
     @classmethod
     def identity(cls, dim: int) -> "HermitianProjector":
-        return cls(np.eye(dim, dtype=complex))
+        return cls.from_diagonal(np.ones(dim, dtype=bool))
 
     @classmethod
     def from_diagonal(cls, mask) -> "HermitianProjector":
         mask = np.asarray(mask)
+        if mask.ndim != 1 or mask.size == 0:
+            raise ValidationError("diagonal projector needs a non-empty one-dimensional mask")
         if not np.all((mask == 0) | (mask == 1)):
             raise ValidationError("diagonal projector entries must be 0 or 1")
-        return cls(np.diag(mask.astype(complex)))
+        return cls._trusted(mask=mask.astype(bool))
 
     def complement(self) -> "HermitianProjector":
-        return HermitianProjector(np.eye(self.dim, dtype=complex) - self.matrix)
+        if self._mask is not None:
+            return HermitianProjector._trusted(mask=~self._mask)
+        return HermitianProjector._trusted(
+            matrix=np.eye(self.dim, dtype=complex) - self._matrix
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -168,27 +221,33 @@ def orthonormalize(vectors: np.ndarray, tol: float = INDEPENDENCE_TOL) -> np.nda
 
 
 def projector_from_spec(spec: ProjectorSpec, dim: int | None = None) -> HermitianProjector:
-    """Materialize a projector description as an explicit matrix."""
+    """Materialize a projector description as an explicit matrix.
+
+    A required `dim` is compared with the spec's size before anything of
+    that size is built.
+    """
     if isinstance(spec, QubitDirection):
-        if dim is not None and dim != 1 << min(spec.n_factors, int(dim).bit_length()):
-            # checked before the 2^n_factors-square kron product is built
+        n = spec.n_factors
+        if dim is not None and dim != 1 << min(n, int(dim).bit_length()):
             raise ValidationError(
-                f"{spec.n_factors} qubit factors do not match the required dim {dim}"
+                f"{n} qubit factors do not match the required dim {dim}"
             )
-        single = np.outer(qubit_state(spec.theta, spec.phi),
-                          qubit_state(spec.theta, spec.phi).conj())
-        mat = np.eye(1, dtype=complex)
-        for k in range(spec.n_factors):
-            mat = np.kron(mat, single if k == spec.factor else np.eye(2, dtype=complex))
-        proj = HermitianProjector(mat)
-    elif isinstance(spec, SubspaceSpan):
+        u = qubit_state(spec.theta, spec.phi)
+        outer, inner = 1 << spec.factor, 1 << (n - spec.factor - 1)
+        # I_outer (x) |u><u| (x) I_inner: the 2x2 block on every diagonal
+        # (a, r) position of the factor axes, zero elsewhere
+        blocks = np.zeros((outer, 2, inner, outer, 2, inner), dtype=complex)
+        a = np.arange(outer)[:, None]
+        r = np.arange(inner)
+        blocks[a, :, r, a, :, r] = np.outer(u, u.conj())
+        return HermitianProjector._trusted(matrix=blocks.reshape(1 << n, 1 << n))
+    if isinstance(spec, SubspaceSpan):
+        width = spec.vectors.shape[1]
+        if dim is not None and width != dim:
+            raise ValidationError(f"projector dim {width} does not match required {dim}")
         basis = orthonormalize(spec.vectors)  # rows b_i; P = sum_i |b_i><b_i|
-        proj = HermitianProjector(basis.T @ basis.conj())
-    else:
-        raise ValidationError(f"not a projector spec: {spec!r}")
-    if dim is not None and proj.dim != dim:
-        raise ValidationError(f"projector dim {proj.dim} does not match required {dim}")
-    return proj
+        return HermitianProjector._trusted(matrix=basis.T @ basis.conj())
+    raise ValidationError(f"not a projector spec: {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +257,7 @@ def born(p: HermitianProjector, s: ComplexStateVector) -> float:
     """<s|P|s>, clamped into [0,1] within a 1e-12 band, else an error."""
     if p.dim != s.dim:
         raise ValidationError(f"projector dim {p.dim} does not match state dim {s.dim}")
-    raw = complex(np.vdot(s.amplitudes, p.matrix @ s.amplitudes))
+    raw = complex(np.vdot(s.amplitudes, p.apply(s.amplitudes)))
     if abs(raw.imag) > BORN_CLAMP:
         raise ValidationError(f"expectation has imaginary part {raw.imag!r}")
     value = raw.real
@@ -217,13 +276,13 @@ def sequential_conditional(
     ||Q P s||^2 / ||P s||^2."""
     if p.dim != q.dim or p.dim != s.dim:
         raise ValidationError("projector/state dimensions differ")
-    ps = p.matrix @ s.amplitudes
+    ps = p.apply(s.amplitudes)
     weight = float(np.vdot(ps, ps).real)
     if weight <= tol:
         raise UndefinedConditionalError(
             f"cannot condition: the condition has probability {weight!r} <= {tol}"
         )
-    qps = q.matrix @ ps
+    qps = q.apply(ps)
     return min(float(np.vdot(qps, qps).real) / weight, 1.0)
 
 
@@ -233,8 +292,8 @@ def product_asymmetry(
     """||Q P s||^2 - ||P Q s||^2: zero whenever P and Q commute."""
     if p.dim != q.dim or p.dim != s.dim:
         raise ValidationError("projector/state dimensions differ")
-    qps = q.matrix @ (p.matrix @ s.amplitudes)
-    pqs = p.matrix @ (q.matrix @ s.amplitudes)
+    qps = q.apply(p.apply(s.amplitudes))
+    pqs = p.apply(q.apply(s.amplitudes))
     return float(np.vdot(qps, qps).real) - float(np.vdot(pqs, pqs).real)
 
 
@@ -242,7 +301,10 @@ def commutator_norm(p: HermitianProjector, q: HermitianProjector) -> float:
     """Largest entry of |PQ - QP|; zero exactly for compatible tests."""
     if p.dim != q.dim:
         raise ValidationError("projector dimensions differ")
-    return float(np.max(np.abs(p.matrix @ q.matrix - q.matrix @ p.matrix)))
+    if p._mask is not None and q._mask is not None:
+        return 0.0  # diagonal masks commute exactly
+    pm, qm = p.matrix, q.matrix
+    return float(np.max(np.abs(pm @ qm - qm @ pm)))
 
 
 def tensor(a, b):

@@ -37,12 +37,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from . import kernels, quantum
 from .classical import (
     ClassicalDistribution,
+    DiagonalProjector,
     and_op,
     build_state_vector,
     negation_op,
@@ -90,16 +92,23 @@ class WdeTriple:
         return bool(self.violation <= tol)
 
 
+@cache
+def _classical_terms() -> tuple[DiagonalProjector, DiagonalProjector, DiagonalProjector]:
+    """A and B, not B and C, A and C over the 8 states of three propositions."""
+    a, b, c = (projector_for(i, 3) for i in range(3))
+    return and_op(a, b), and_op(negation_op(b), c), and_op(a, c)
+
+
 def wde_classical(dist: ClassicalDistribution) -> WdeTriple:
     """The control group: three propositions, one distribution."""
     if dist.n != 3:
         raise ValidationError(f"need exactly 3 propositions, got n={dist.n}")
     s = build_state_vector(dist)
-    a, b, c = (projector_for(i, 3) for i in range(3))
+    ab, not_b_c, ac = _classical_terms()
     return WdeTriple(
-        ab=probability(and_op(a, b), s),
-        not_b_c=probability(and_op(negation_op(b), c), s),
-        ac=probability(and_op(a, c), s),
+        ab=probability(ab, s),
+        not_b_c=probability(not_b_c, s),
+        ac=probability(ac, s),
     )
 
 
@@ -155,11 +164,11 @@ def singlet_state() -> ComplexStateVector:
 
 def _joint(p1: HermitianProjector, p2: HermitianProjector,
            s: ComplexStateVector, ordering: str) -> float:
-    first = p2.matrix @ (p1.matrix @ s.amplitudes)
+    first = p2.apply(p1.apply(s.amplitudes))
     value = float(np.vdot(first, first).real)
     if ordering == "sequential":
         return value
-    second = p1.matrix @ (p2.matrix @ s.amplitudes)
+    second = p1.apply(p2.apply(s.amplitudes))
     return 0.5 * (value + float(np.vdot(second, second).real))
 
 
@@ -191,12 +200,6 @@ def wde_quantum_shared(
     )
 
 
-def _pair_projectors(x: QubitDirection, y: QubitDirection) -> tuple[HermitianProjector, HermitianProjector]:
-    first = QubitDirection(x.theta, x.phi, factor=0, n_factors=2)
-    second = QubitDirection(y.theta, y.phi, factor=1, n_factors=2)
-    return projector_from_spec(first), projector_from_spec(second)
-
-
 def wde_quantum_paired(
     a: QubitDirection,
     b: QubitDirection,
@@ -217,11 +220,16 @@ def wde_quantum_paired(
     for spec in (a, b, c):
         if not isinstance(spec, QubitDirection):
             raise ValidationError("paired protocol takes QubitDirection specs")
-    terms = {}
-    for label, (x, y) in {"ab": (a, b), "not_b_c": (b, c), "ac": (a, c)}.items():
-        p1, p2 = _pair_projectors(x, y)
-        terms[label] = _joint(p1, p2, state, ordering)
-    return WdeTriple(**terms)
+
+    def on(spec: QubitDirection, factor: int) -> HermitianProjector:
+        return projector_from_spec(QubitDirection(spec.theta, spec.phi, factor, n_factors=2))
+
+    a0, b0, b1, c1 = on(a, 0), on(b, 0), on(b, 1), on(c, 1)
+    return WdeTriple(
+        ab=_joint(a0, b1, state, ordering),
+        not_b_c=_joint(b0, c1, state, ordering),
+        ac=_joint(a0, c1, state, ordering),
+    )
 
 
 def wde_quantum(

@@ -11,6 +11,7 @@ import pytest
 import tfuprob.checks
 import tfuprob.classical
 import tfuprob.cli
+import tfuprob.quantum
 import tfuprob.report
 from tfuprob.cli import main
 
@@ -326,6 +327,36 @@ QUBIT = {"type": "qubit-direction", "theta": 0}
             id="subspace-ragged",
         ),
         pytest.param(
+            json.dumps(_quantum_with({"type": "diagonal", "mask": [[1, "a"], 1]})),
+            "mask must be a non-empty list of 0/1 values",
+            id="mask-ragged",
+        ),
+        pytest.param(
+            json.dumps(_quantum_with({"type": "diagonal", "mask": [[1, 0], [0, 1]]})),
+            "mask must be a non-empty list of 0/1 values",
+            id="mask-nested",
+        ),
+        pytest.param(
+            json.dumps(_quantum_with({"type": "diagonal", "mask": []})),
+            "diagonal mask has dim 0, expected 2",
+            id="mask-empty-for-state",
+        ),
+        pytest.param(
+            json.dumps(_quantum_with({"type": "diagonal", "mask": [True, False]})),
+            "mask must be a non-empty list of 0/1 values",
+            id="mask-bools",
+        ),
+        pytest.param(
+            json.dumps(_quantum_with({"type": "diagonal", "mask": [1, 2]})),
+            "mask must be a non-empty list of 0/1 values",
+            id="mask-two",
+        ),
+        pytest.param(
+            json.dumps(_quantum_with({"type": "diagonal", "mask": ["1", 0]})),
+            "mask must be a non-empty list of 0/1 values",
+            id="mask-string",
+        ),
+        pytest.param(
             json.dumps(_quantum_with({"type": "subspace", "vectors": [1, 0]})),
             "each of the vectors must be a list",
             id="subspace-not-rows",
@@ -366,6 +397,40 @@ def test_qubit_factor_count_checked_against_state_before_building(capsys, tmp_pa
     assert out == "" and err.count("\n") == 1
     assert "1000000 qubit factors do not match the required dim 2" in err
     assert peak < 2**20
+
+
+def test_state_over_dim_limit_rejected_before_building(capsys, tmp_path):
+    dim = 4 * tfuprob.quantum.MAX_DIM
+    path = tmp_path / "wide-state.json"
+    path.write_text(json.dumps({
+        "version": 1, "mode": "quantum", "state": [1] + [0] * (dim - 1),
+        "projectors": {"P": {"type": "diagonal", "mask": [1] * dim}},
+    }))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "eval", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == "" and err.count("\n") == 1
+    assert f"state has {dim} amplitudes, over the limit of 1024" in err
+    assert peak < 2**20
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    first = tfuprob.cli.PARSER.parse_args(["eval", "in.json", "--format", "csv"])
+    second = tfuprob.cli.PARSER.parse_args(["check", "--seed", "3"])
+    assert first is not second
+    assert (first.command, first.file, first.format, first.seed) == ("eval", "in.json", "csv", 0)
+    assert (second.command, second.format, second.seed) == ("check", "structured", 3)
+    assert not hasattr(second, "file")
+    # main reuses the module's parser: it never builds another one
+    monkeypatch.setattr(tfuprob.cli, "build_parser", None)
+    code, csv_out, _ = run_cli(capsys, "eval", str(FIXTURES / "quantum.json"), "--format", "csv")
+    assert code == 0 and csv_out.startswith("label,value\n")
+    code, json_out, _ = run_cli(capsys, "eval", str(FIXTURES / "quantum.json"))
+    assert code == 0 and json.loads(json_out)["mode"] == "quantum"
 
 
 def test_eval_classical_cosines_match_fresh_directions(capsys, tmp_path):

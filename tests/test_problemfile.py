@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tfuprob.errors import ProblemFileError, ValidationError
+from tfuprob.quantum import MAX_DIM
 from tfuprob.problemfile import (
     MAX_CELLS,
     ClassicalProblem,
@@ -107,6 +108,22 @@ def test_n_is_capped_by_cell_count(mode, field, entry, base, largest):
             loads(json.dumps({**ok, "n": n}))
 
 
+@pytest.mark.parametrize("mode", ["quantum", "wde"])
+def test_state_is_capped_at_max_dim(mode):
+    def payload(dim):
+        state = [1.0] + [0.0] * (dim - 1)
+        mask = {"type": "diagonal", "mask": [1] * dim}
+        if mode == "quantum":
+            return {"version": 1, "mode": mode, "state": state, "projectors": {"P": mask}}
+        return {"version": 1, "mode": mode, "variant": "quantum", "protocol": "shared",
+                "state": state, "projectors": {"a": mask, "b": mask, "c": mask}}
+
+    assert loads(json.dumps(payload(MAX_DIM))).problem.state.dim == MAX_DIM
+    want = f"{mode}: state has {2 * MAX_DIM} amplitudes, over the limit of {MAX_DIM}"
+    with pytest.raises(ValidationError, match=want):
+        loads(json.dumps(payload(2 * MAX_DIM)))
+
+
 def test_amplitude_pairs():
     pf = loads(
         '{"version": 1, "mode": "quantum",'
@@ -135,6 +152,10 @@ def test_projector_spec_errors():
         parse_projector_spec({"type": "qubit-direction"}, "here")
     with pytest.raises(ProblemFileError, match="dim"):
         parse_projector_spec({"type": "diagonal", "mask": [1, 0]}, "here", dim=4)
+    with pytest.raises(ProblemFileError, match="non-empty list of 0/1 values"):
+        parse_projector_spec({"type": "diagonal", "mask": []}, "here")
+    with pytest.raises(ValidationError, match="here: projector dim 3 does not match required 2"):
+        parse_projector_spec({"type": "subspace", "vectors": [[1, 0, 0]]}, "here", dim=2)
 
 
 def test_subspace_projector_spec():

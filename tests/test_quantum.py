@@ -217,3 +217,182 @@ def test_diagonal_sector_reduces_to_classical():
                 want = classical_conditional(q, p, cvec)
                 assert abs(sequential_conditional(qq, qp, qvec) - want) < 1e-12
                 assert abs(product_asymmetry(qp, qq, qvec)) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Structured projectors against the dense builders they replaced. Every value
+# must be equal exactly; np.array_equal leaves only the sign of a zero free
+# (the kron chain's 0 * x products make some -0.0 entries), and a signed zero
+# cannot change a norm, a Born value or a commutator's absolute value.
+
+def _kron_chain(spec):
+    """The old qubit-direction builder: an n_factors-long np.kron chain."""
+    single = np.outer(qubit_state(spec.theta, spec.phi),
+                      qubit_state(spec.theta, spec.phi).conj())
+    mat = np.eye(1, dtype=complex)
+    for k in range(spec.n_factors):
+        mat = np.kron(mat, single if k == spec.factor else np.eye(2, dtype=complex))
+    return mat
+
+
+def _dense_diag(mask):
+    """The old from_diagonal matrix."""
+    return np.diag(np.asarray(mask).astype(complex))
+
+
+def _exactly_equal(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+def _random_mask(rng, n):
+    return rng.integers(2, size=1 << n).astype(bool)
+
+
+def test_qubit_direction_placement_matches_kron_chain():
+    rng = np.random.default_rng(101)
+    specials = (0.0, np.pi / 2, np.pi, 2 * np.pi)
+    for trial in range(400):
+        n = int(rng.integers(1, 8))
+        theta = float(rng.choice(specials)) if trial % 8 == 0 else float(rng.uniform(0, 2 * np.pi))
+        phi = 0.0 if trial % 3 == 0 else float(rng.uniform(-np.pi, 2 * np.pi))
+        spec = QubitDirection(theta, phi, factor=int(rng.integers(n)), n_factors=n)
+        got = projector_from_spec(spec, dim=1 << n).matrix
+        assert _exactly_equal(got, _kron_chain(spec)), (trial, spec)
+
+
+def test_qubit_direction_apply_matches_kron_chain_product():
+    rng = np.random.default_rng(102)
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        spec = QubitDirection(float(rng.uniform(0, np.pi)), float(rng.uniform(0, np.pi)),
+                              factor=int(rng.integers(n)), n_factors=n)
+        s = _random_state(rng, 1 << n)
+        got = projector_from_spec(spec).apply(s.amplitudes)
+        assert _exactly_equal(got, _kron_chain(spec) @ s.amplitudes)
+
+
+def test_mask_apply_matches_dense_diagonal_product():
+    rng = np.random.default_rng(103)
+    for trial in range(400):
+        n = int(rng.integers(1, 8))
+        mask = _random_mask(rng, n)
+        if trial % 10 == 0:
+            mask[:] = trial % 20 == 0  # all-zero and all-one masks
+        v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        p = HermitianProjector.from_diagonal(mask)
+        assert _exactly_equal(p.apply(v), _dense_diag(mask) @ v)
+        assert _exactly_equal(p.complement().apply(v), _dense_diag(~mask) @ v)
+
+
+def test_mask_matrix_is_lazy_read_only_and_matches_np_diag():
+    rng = np.random.default_rng(104)
+    for _ in range(100):
+        n = int(rng.integers(1, 8))
+        mask = _random_mask(rng, n)
+        as_ints = mask.astype(int).tolist()
+        p = HermitianProjector.from_diagonal(as_ints)
+        assert p._matrix is None  # nothing d x d until asked for
+        mat = p.matrix
+        assert _exactly_equal(mat, _dense_diag(mask))
+        assert mat.tobytes() == _dense_diag(mask).tobytes()
+        assert p.matrix is mat
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.5
+    with pytest.raises(AttributeError):
+        p.matrix = np.eye(p.dim)
+    np.testing.assert_array_equal(HermitianProjector.identity(8).matrix, np.eye(8))
+
+
+def test_mask_commutator_is_zero_like_the_dense_product():
+    rng = np.random.default_rng(105)
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        mp, mq = _random_mask(rng, n), _random_mask(rng, n)
+        dp, dq = _dense_diag(mp), _dense_diag(mq)
+        want = float(np.max(np.abs(dp @ dq - dq @ dp)))
+        p, q = HermitianProjector.from_diagonal(mp), HermitianProjector.from_diagonal(mq)
+        got = commutator_norm(p, q)
+        assert got == want == 0.0 and type(got) is float
+        assert p._matrix is None and q._matrix is None
+
+
+def test_mixed_commutator_uses_the_dense_matrices():
+    rng = np.random.default_rng(106)
+    for _ in range(100):
+        n = int(rng.integers(1, 6))
+        mask = _random_mask(rng, n)
+        spec = QubitDirection(float(rng.uniform(0, np.pi)), factor=int(rng.integers(n)),
+                              n_factors=n)
+        d, k = _dense_diag(mask), _kron_chain(spec)
+        want = float(np.max(np.abs(d @ k - k @ d)))
+        got = commutator_norm(HermitianProjector.from_diagonal(mask), projector_from_spec(spec))
+        assert got == want
+
+
+def test_span_projector_matches_dense_basis_product():
+    rng = np.random.default_rng(107)
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        dim = 1 << n
+        k = int(rng.integers(1, min(dim, 12) + 1))
+        vecs = rng.standard_normal((k, dim)) + 1j * rng.standard_normal((k, dim))
+        basis = orthonormalize(vecs)
+        p = projector_from_spec(SubspaceSpan(vecs), dim=dim)
+        assert p.matrix.tobytes() == (basis.T @ basis.conj()).tobytes()
+        mat = p.matrix
+        assert float(np.max(np.abs(mat @ mat - mat))) <= 1e-12
+        assert float(np.max(np.abs(mat - mat.conj().T))) <= 1e-12
+
+
+def test_span_at_the_independence_edge_stays_idempotent():
+    # the second vector leaves the first's line by just over INDEPENDENCE_TOL
+    rng = np.random.default_rng(108)
+    for dim in (2, 8, 64):
+        for eps in (3e-10, 1e-9, 1e-8):
+            first = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            away = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            away -= np.vdot(first, away) / np.vdot(first, first) * first
+            away *= eps * np.linalg.norm(first) / np.linalg.norm(away)
+            vecs = np.array([first, first + away])
+            p = projector_from_spec(SubspaceSpan(vecs), dim=dim)
+            mat = p.matrix
+            assert float(np.max(np.abs(mat @ mat - mat))) <= 1e-12, (dim, eps)
+            assert float(np.max(np.abs(mat - mat.conj().T))) <= 1e-12, (dim, eps)
+            assert abs(np.trace(mat).real - 2.0) <= 1e-12
+    with pytest.raises(ValidationError, match="dependent"):
+        orthonormalize(np.array([[1.0, 0.0], [1.0, 1e-11]]))
+
+
+def test_library_constructors_do_not_validate(monkeypatch):
+    def refuse(self, matrix):
+        raise AssertionError("a library-built projector was re-validated")
+
+    monkeypatch.setattr(HermitianProjector, "__init__", refuse)
+    projector_from_spec(QubitDirection(0.4, factor=1, n_factors=3)).complement()
+    projector_from_spec(SubspaceSpan(np.array([[1.0, 1.0, 0.0, 0.0]])), dim=4).complement()
+    HermitianProjector.from_diagonal([1, 0]).complement()
+    HermitianProjector.identity(4)
+    with pytest.raises(AssertionError, match="re-validated"):
+        HermitianProjector(np.eye(2))
+
+
+def test_dense_complement_matches_identity_minus_matrix():
+    rng = np.random.default_rng(109)
+    for _ in range(50):
+        n = int(rng.integers(1, 6))
+        spec = QubitDirection(float(rng.uniform(0, np.pi)), factor=int(rng.integers(n)),
+                              n_factors=n)
+        p = projector_from_spec(spec)
+        assert _exactly_equal(p.complement().matrix, np.eye(1 << n, dtype=complex) - p.matrix)
+
+
+@pytest.mark.parametrize("mask", [[], [[1, 0], [0, 1]], np.ones((2, 2)), [1, 2], [0.5, 1]])
+def test_from_diagonal_rejects_bad_masks(mask):
+    with pytest.raises(ValidationError):
+        HermitianProjector.from_diagonal(mask)
+
+
+def test_span_width_checked_before_orthonormalizing():
+    vecs = np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])  # also dependent
+    with pytest.raises(ValidationError, match="projector dim 4 does not match required 2"):
+        projector_from_spec(SubspaceSpan(vecs), dim=2)

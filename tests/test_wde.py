@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from tfuprob import wde
-from tfuprob.classical import ClassicalDistribution, build_state_vector, projector_for
+from tfuprob.classical import (
+    ClassicalDistribution,
+    and_op,
+    build_state_vector,
+    negation_op,
+    probability,
+    projector_for,
+)
 from tfuprob.errors import ValidationError
 from tfuprob.logic import T, F, U
-from tfuprob.quantum import ComplexStateVector, HermitianProjector, QubitDirection
+from tfuprob.quantum import ComplexStateVector, HermitianProjector, QubitDirection, qubit_state
 from tfuprob.wde import (
     AngleGrid,
     TfuPopulation,
@@ -301,3 +308,54 @@ def test_search_grid_validation():
         search_violation(
             AngleGrid(0, 1, 0.5), ComplexStateVector([1.0, 0.0]), protocol="paired"
         )
+
+
+def _old_paired(a, b, c, state, ordering):
+    """The paired protocol as it was: two kron-chain projectors per term."""
+    def kron_on(spec, factor):
+        single = np.outer(qubit_state(spec.theta, spec.phi),
+                          qubit_state(spec.theta, spec.phi).conj())
+        pair = (single, np.eye(2, dtype=complex))
+        return np.kron(*pair) if factor == 0 else np.kron(*pair[::-1])
+
+    def joint(m1, m2):
+        first = m2 @ (m1 @ state.amplitudes)
+        value = float(np.vdot(first, first).real)
+        if ordering == "sequential":
+            return value
+        second = m1 @ (m2 @ state.amplitudes)
+        return 0.5 * (value + float(np.vdot(second, second).real))
+
+    return WdeTriple(
+        ab=joint(kron_on(a, 0), kron_on(b, 1)),
+        not_b_c=joint(kron_on(b, 0), kron_on(c, 1)),
+        ac=joint(kron_on(a, 0), kron_on(c, 1)),
+    )
+
+
+def test_paired_protocol_matches_per_term_kron_projectors():
+    rng = np.random.default_rng(41)
+    states = [singlet_state()] + [
+        ComplexStateVector(v / np.linalg.norm(v))
+        for v in rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
+    ]
+    for state in states:
+        a, b, c = (QubitDirection(float(t), float(p))
+                   for t, p in rng.uniform(0, np.pi, size=(3, 2)))
+        for ordering in ("sequential", "symmetrized"):
+            got = wde_quantum_paired(a, b, c, state, ordering)
+            want = _old_paired(a, b, c, state, ordering)
+            assert (got.ab, got.not_b_c, got.ac) == (want.ab, want.not_b_c, want.ac)
+
+
+def test_classical_terms_equal_per_call_projectors():
+    rng = np.random.default_rng(42)
+    for _ in range(50):
+        w = rng.uniform(size=8) + 1e-6
+        dist = ClassicalDistribution(w / w.sum())
+        s = build_state_vector(dist)
+        a, b, c = (projector_for(i, 3) for i in range(3))
+        got = wde_classical(dist)
+        assert got.ab == probability(and_op(a, b), s)
+        assert got.not_b_c == probability(and_op(negation_op(b), c), s)
+        assert got.ac == probability(and_op(a, c), s)
