@@ -187,14 +187,7 @@ def conditional(
     not the implementation; the test suite checks the two routes agree.
     """
     _same_dim(p, q)
-    projected = np.where(p.mask, s.components, 0.0)
-    weight = float(np.dot(projected, projected))
-    if weight <= tol:
-        raise UndefinedConditionalError(
-            f"cannot condition: the condition has probability {weight!r} <= {tol}"
-        )
-    projected = projected / np.sqrt(weight)
-    return min(float(np.dot(projected[q.mask], projected[q.mask])), 1.0)
+    return project(p, s).conditional(q, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,11 +212,58 @@ def state_direction(s: RealStateVector) -> Direction:
     return Direction(s.components)
 
 
-def projected_direction(p: DiagonalProjector, s: RealStateVector) -> Direction:
-    """Direction of P|s>; raises (via Direction) when the projection is null."""
+@dataclass(eq=False, slots=True)
+class Projection:
+    """P|s> of one projector and state, built once and read by everything
+    that conditions on P: the vector, its squared length <s|P|s> and, when
+    that is positive, the unit vector P|s> / ||P|s||.
+
+    `unit` divides by sqrt(weight), which is what np.linalg.norm computes,
+    so it is bit for bit the vector Direction(P|s>) keeps.
+    """
+
+    vector: np.ndarray
+    weight: float
+    unit: np.ndarray | None
+
+    def conditional(self, q: DiagonalProjector, tol: float = IDENTITY_TOL) -> float:
+        """Probability of q on the renormalized projection; see `conditional`."""
+        if q.dim != self.vector.size:
+            raise ValidationError(f"projector dimensions differ: {self.vector.size} vs {q.dim}")
+        if self.weight <= tol:
+            raise UndefinedConditionalError(
+                f"cannot condition: the condition has probability {self.weight!r} <= {tol}"
+            )
+        # a null projection gets here only with a negative or NaN tol: 0/0
+        unit = self.unit if self.unit is not None else self.vector / np.sqrt(self.weight)
+        kept = unit[q.mask]
+        return min(float(np.dot(kept, kept)), 1.0)
+
+    def direction(self) -> Direction:
+        """Direction of P|s>; raises when the projection is null."""
+        if self.unit is None:
+            raise ValidationError("zero vector has no direction")
+        direction = object.__new__(Direction)  # already a unit vector
+        object.__setattr__(direction, "unit", self.unit)
+        return direction
+
+
+def project(p: DiagonalProjector, s: RealStateVector) -> Projection:
     if p.dim != s.components.size:
         raise ValidationError("projector and state dimensions differ")
-    return Direction(np.where(p.mask, s.components, 0.0))
+    vector = np.where(p.mask, s.components, 0.0)
+    vector.setflags(write=False)
+    weight = float(np.dot(vector, vector))
+    if weight <= 0.0:
+        return Projection(vector, weight, None)
+    unit = vector / np.sqrt(weight)
+    unit.setflags(write=False)
+    return Projection(vector, weight, unit)
+
+
+def projected_direction(p: DiagonalProjector, s: RealStateVector) -> Direction:
+    """Direction of P|s>; raises when the projection is null."""
+    return project(p, s).direction()
 
 
 def cos2(a: Direction, b: Direction) -> float:

@@ -91,6 +91,8 @@ def _eval_classical(problem: ClassicalProblem, tol: float) -> dict:
     state_dir = classical.state_direction(vec)
     projs = [classical.projector_for(i, n) for i in range(n)]
     probs = [classical.probability(projs[i], vec) for i in range(n)]
+    # P|s> of each proposition, read by every pair that conditions on it
+    projections = [classical.project(p, vec) for p in projs]
     # the direction of P|s>, for each proposition with probability above tol
     dirs = [None] * n
 
@@ -98,7 +100,7 @@ def _eval_classical(problem: ClassicalProblem, tol: float) -> dict:
     for i, name in enumerate(names):
         entry = {f"|{name}|": probs[i]}
         if probs[i] > tol:
-            dirs[i] = classical.projected_direction(projs[i], vec)
+            dirs[i] = projections[i].direction()
             entry[f"cos2({name.upper()},S)"] = classical.cos2(state_dir, dirs[i])
         propositions[name] = entry
 
@@ -111,9 +113,9 @@ def _eval_classical(problem: ClassicalProblem, tol: float) -> dict:
             joint = classical.probability(pq, vec)
             entry = {f"|{pn}&{qn}|": joint}
             with _labeled(f"|{qn}|_{pn}"):
-                entry[f"|{qn}|_{pn}"] = classical.conditional(q, p, vec, tol)
+                entry[f"|{qn}|_{pn}"] = projections[i].conditional(q, tol)
             with _labeled(f"|{pn}|_{qn}"):
-                entry[f"|{pn}|_{qn}"] = classical.conditional(p, q, vec, tol)
+                entry[f"|{pn}|_{qn}"] = projections[j].conditional(p, tol)
             if probs[i] > tol and probs[j] > tol:
                 dir_p, dir_q = dirs[i], dirs[j]
                 entry[f"cos2({pn.upper()},{qn.upper()})"] = classical.cos2(dir_p, dir_q)
@@ -132,23 +134,28 @@ def _eval_classical(problem: ClassicalProblem, tol: float) -> dict:
 def _eval_tfu_measure(problem: TfuMeasureProblem) -> dict:
     m = problem.assignment
     names = default_names(m.n)
+    # the T and F cell masks of each proposition, read by every pair
+    decided = [measures.decided(i, m) for i in range(m.n)]
     propositions = {}
+    probs = []
     for i, name in enumerate(names):
         with _labeled(f"[{name}]"):
             prob, comp = measures.complement_check(i, m)
+        probs.append(prob)
         propositions[name] = {f"[{name}]": prob, f"[~{name}]": comp}
     pairs = {}
     for i in range(m.n):
         for j in range(i + 1, m.n):
             pn, qn = names[i], names[j]
-            entry = {}
             with _labeled(f"[{qn}]_{pn}"):
-                entry[f"[{qn}]_{pn}"] = measures.tfu_conditional(j, i, m)
+                q_given_p = decided[j].given(decided[i])
             with _labeled(f"[{pn}]_{qn}"):
-                entry[f"[{pn}]_{qn}"] = measures.tfu_conditional(i, j, m)
-            with _labeled(f"gap({pn},{qn})"):
-                entry[f"gap({pn},{qn})"] = measures.noncommutativity_gap(i, j, m)
-            pairs[f"{pn},{qn}"] = entry
+                p_given_q = decided[i].given(decided[j])
+            pairs[f"{pn},{qn}"] = {
+                f"[{qn}]_{pn}": q_given_p,
+                f"[{pn}]_{qn}": p_given_q,
+                f"gap({pn},{qn})": measures.gap(probs[i], q_given_p, probs[j], p_given_q),
+            }
     return {"propositions": propositions, "pairs": pairs}
 
 

@@ -33,7 +33,6 @@ import numpy as np
 
 from .classical import ClassicalDistribution
 from .errors import UndefinedConditionalError, ValidationError
-from .logic import state_count
 
 CELL_SYMBOLS = "TFU"
 _T, _F, _U = 0, 1, 2
@@ -116,41 +115,69 @@ class TfuMeasureAssignment:
             measures[cell] = float(value)
         return cls(n, measures)
 
-    def mass_where(self, prop: int, digit: int) -> float:
-        return float(self.measures[_digits(self.n, prop) == digit].sum())
+
+@dataclass(eq=False, slots=True)
+class Decided:
+    """Where one proposition is decided, read off an assignment once: the
+    masks of its T and F cells. Every probability, conditional and gap of
+    this module is computed from these."""
+
+    prop: int
+    measures: np.ndarray
+    true: np.ndarray
+    false: np.ndarray
+
+    def probability(self) -> float:
+        """T-mass relative to the decided (T or F) mass."""
+        t = float(self.measures[self.true].sum())
+        f = float(self.measures[self.false].sum())
+        if t + f <= 0.0:
+            raise UndefinedConditionalError(
+                f"proposition {self.prop} is everywhere undecidable: no decided mass"
+            )
+        return t / (t + f)
+
+    def given(self, p: "Decided") -> float:
+        """Probability of this proposition among the cells where p is true."""
+        if p.prop == self.prop:
+            raise ValidationError("conditional needs two distinct propositions")
+        tt = float(self.measures[p.true & self.true].sum())
+        tf = float(self.measures[p.true & self.false].sum())
+        if tt + tf <= 0.0:
+            raise UndefinedConditionalError(
+                f"no decided mass for proposition {self.prop} among cells where {p.prop} is true"
+            )
+        return tt / (tt + tf)
+
+
+def decided(prop: int, m: TfuMeasureAssignment) -> Decided:
+    digits = _digits(m.n, prop)
+    return Decided(prop, m.measures, digits == _T, digits == _F)
+
+
+def gap(prob_p: float, q_given_p: float, prob_q: float, p_given_q: float) -> float:
+    """prob(p)*prob(q|p) - prob(q)*prob(p|q)."""
+    return prob_p * q_given_p - prob_q * p_given_q
 
 
 def tfu_probability(prop: int, m: TfuMeasureAssignment) -> float:
     """T-mass of the proposition relative to its decided (T or F) mass."""
-    t = m.mass_where(prop, _T)
-    f = m.mass_where(prop, _F)
-    if t + f <= 0.0:
-        raise UndefinedConditionalError(
-            f"proposition {prop} is everywhere undecidable: no decided mass"
-        )
-    return t / (t + f)
+    return decided(prop, m).probability()
 
 
 def tfu_conditional(q: int, p: int, m: TfuMeasureAssignment) -> float:
     """Probability of q among the cells where p is manifestly true."""
-    if p == q:
-        raise ValidationError("conditional needs two distinct propositions")
-    dp = _digits(m.n, p)
-    dq = _digits(m.n, q)
-    tt = float(m.measures[(dp == _T) & (dq == _T)].sum())
-    tf = float(m.measures[(dp == _T) & (dq == _F)].sum())
-    if tt + tf <= 0.0:
-        raise UndefinedConditionalError(
-            f"no decided mass for proposition {q} among cells where {p} is true"
-        )
-    return tt / (tt + tf)
+    given = decided(p, m)
+    return decided(q, m).given(given)
 
 
 def noncommutativity_gap(p: int, q: int, m: TfuMeasureAssignment) -> float:
     """prob(p)*prob(q|p) - prob(q)*prob(p|q): zero classically, not here."""
-    forward = tfu_probability(p, m) * tfu_conditional(q, p, m)
-    backward = tfu_probability(q, m) * tfu_conditional(p, q, m)
-    return forward - backward
+    dp = decided(p, m)
+    prob_p = dp.probability()
+    dq = decided(q, m)
+    q_given_p = dq.given(dp)
+    return gap(prob_p, q_given_p, dq.probability(), dp.given(dq))
 
 
 def swap_tf(m: TfuMeasureAssignment, prop: int) -> TfuMeasureAssignment:
@@ -166,30 +193,6 @@ def swap_tf(m: TfuMeasureAssignment, prop: int) -> TfuMeasureAssignment:
 def complement_check(prop: int, m: TfuMeasureAssignment) -> tuple[float, float]:
     """(prob(p), prob(~p)); the two always sum to one when defined."""
     return tfu_probability(prop, m), tfu_probability(prop, swap_tf(m, prop))
-
-
-def decided_distribution(m: TfuMeasureAssignment, tol: float = 0.0) -> ClassicalDistribution:
-    """Classical distribution induced when no U-mass is present.
-
-    Cells with only T/F digits map onto complete states (T = affirmative);
-    any U-cell mass above tol is an error, since it has no classical home.
-    """
-    n = m.n
-    digits = _digit_table(n)
-    decided = (digits != _U).all(axis=0)
-    stray = ~decided & (m.measures > tol)
-    if stray.any():
-        cell = int(np.argmax(stray))  # the first such cell
-        raise ValidationError(
-            f"cell {cell_key(cell, n)} carries undecided measure "
-            f"{m.measures[cell]!r}; no classical counterpart"
-        )
-    # a decided cell's T/F digits are its state's bits (F = negated = 1),
-    # so the decided cells map one to one onto the states
-    states = (1 << np.arange(n - 1, -1, -1)) @ digits[:, decided]
-    probs = np.zeros(state_count(n))
-    probs[states] += m.measures[decided] / float(m.measures.sum())
-    return ClassicalDistribution(probs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -107,14 +108,24 @@ def _amplitude(value, where: str) -> complex:
     return complex(_number(value, where), 0.0)
 
 
+def _amplitudes(values: list, where: str) -> np.ndarray:
+    """Complex array of a list of amplitudes, each read as _amplitude does."""
+    if (
+        set(map(type, values)) == {list}
+        and set(map(len, values)) == {2}
+        and set(map(type, chain.from_iterable(values))) == {float}
+    ):  # [re, im] pairs of floats need no check, and are complex128's layout
+        return np.array(values, dtype=float).view(complex)[:, 0]
+    return np.array([_amplitude(v, where) for v in values], dtype=complex)
+
+
 def _state(payload: dict, where: str) -> ComplexStateVector:
     raw = _need(payload, "state", list, where)
     if len(raw) > MAX_DIM:
         raise ValidationError(
             f"{where}: state has {len(raw)} amplitudes, over the limit of {MAX_DIM}"
         )
-    amps = np.array([_amplitude(v, f"{where}.state") for v in raw], dtype=complex)
-    return ComplexStateVector(amps)
+    return ComplexStateVector(_amplitudes(raw, f"{where}.state"))
 
 
 def parse_projector_spec(raw, where: str, dim: int | None = None) -> HermitianProjector:
@@ -148,9 +159,7 @@ def parse_projector_spec(raw, where: str, dim: int | None = None) -> HermitianPr
             raise ValidationError(
                 f"{where}: projector dim {lengths.pop()} does not match required {dim}"
             )
-        vectors = np.array(
-            [[_amplitude(v, where) for v in row] for row in rows], dtype=complex
-        )
+        vectors = np.array([_amplitudes(row, where) for row in rows], dtype=complex)
         return projector_from_spec(SubspaceSpan(vectors), dim=dim)
     raise ProblemFileError(f"{where}: unknown projector type {kind!r}")
 

@@ -303,6 +303,14 @@ def commutator_norm(p: HermitianProjector, q: HermitianProjector) -> float:
         raise ValidationError("projector dimensions differ")
     if p._mask is not None and q._mask is not None:
         return 0.0  # diagonal masks commute exactly
+    if p._mask is not None or q._mask is not None:
+        # diag(m) M - M diag(m) has entries (m_i - m_j) M_ij: |M_ij| where
+        # the mask differs between row and column, exact zeros elsewhere
+        mask, dense = (p._mask, q._matrix) if p._mask is not None else (q._mask, p._matrix)
+        return float(max(
+            np.max(np.abs(dense[np.ix_(mask, ~mask)]), initial=0.0),
+            np.max(np.abs(dense[np.ix_(~mask, mask)]), initial=0.0),
+        ))
     pm, qm = p.matrix, q.matrix
     return float(np.max(np.abs(pm @ qm - qm @ pm)))
 

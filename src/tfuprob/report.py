@@ -30,6 +30,15 @@ def format_float(value: float) -> str:
     return format(value, ".12g")
 
 
+def _finite_floats(items: list) -> list:
+    """The items with -0.0 made 0.0, as format_float prints it; raises
+    format_float's error on a NaN or an infinity."""
+    # a sum of finite floats may overflow, so only a non-finite sum is checked item by item
+    if not math.isfinite(sum(items)) and not all(map(math.isfinite, items)):
+        raise ValidationError(_NON_FINITE)
+    return [x or 0.0 for x in items] if 0.0 in items else items
+
+
 def _joined_floats(items) -> str | None:
     """format_float of every item, joined by commas, when all items are
     Python floats; else None.
@@ -40,12 +49,7 @@ def _joined_floats(items) -> str | None:
     """
     if set(map(type, items)) != _FLOAT_ONLY:
         return None
-    if 0.0 in items:  # normalize the sign of zero, as format_float does
-        items = [x or 0.0 for x in items]
-    joined = ",".join(["%.12g"] * len(items)) % tuple(items)
-    if "n" in joined:  # "inf" or "nan": only a non-finite float has an n
-        raise ValidationError(_NON_FINITE)
-    return joined
+    return ",".join(["%.12g"] * len(items)) % tuple(_finite_floats(items))
 
 
 def _emit(obj, out: list[str]) -> None:
@@ -96,16 +100,16 @@ def dumps_canonical(report: dict) -> str:
     return "".join(out) + "\n"
 
 
-def _flatten(obj, prefix: str, rows: list[tuple[str, str]]) -> None:
-    """Append a (label, rendered value) row for every leaf of obj."""
+def _flatten(obj, prefix: str, rows: list[tuple[str, str | list]]) -> None:
+    """Append a (label, rendered value) row for every leaf of obj, and one
+    (label prefix, list) row for every list whose items are all Python
+    floats; the renderers print such a list in one block."""
     if isinstance(obj, dict):
         for key in sorted(obj):
             _flatten(obj[key], f"{prefix}.{key}" if prefix else str(key), rows)
     elif isinstance(obj, (list, tuple)):
-        joined = _joined_floats(obj)
-        if joined is not None:  # no formatted float contains a comma
-            for pos, text in enumerate(joined.split(",")):
-                rows.append((f"{prefix}[{pos}]", text))
+        if set(map(type, obj)) == _FLOAT_ONLY:
+            rows.append((prefix, obj))
             return
         for pos, item in enumerate(obj):
             _flatten(item, f"{prefix}[{pos}]", rows)
@@ -125,26 +129,60 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _block(template: str, items: list, start: int = 0) -> str:
+    """`template % (index, item)` for every item, one line each, from one
+    %-format call; indices count from `start`. Items are finite floats."""
+    args = [0] * (2 * len(items))
+    args[::2] = range(start, start + len(items))
+    args[1::2] = items
+    return "\n".join([template] * len(items)) % tuple(args)
+
+
+def _csv_field(text: str) -> str:
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def dumps_csv(report: dict) -> str:
     """Flat label,value rows; lists are indexed, nesting is dotted."""
-    rows: list[tuple[str, str]] = []
+    rows: list[tuple[str, str | list]] = []
     _flatten(report, "", rows)
     lines = ["label,value"]
-    for label, text in rows:
-        if "," in text or '"' in text:
-            text = '"' + text.replace('"', '""') + '"'
-        if "," in label or '"' in label:
-            label = '"' + label.replace('"', '""') + '"'
-        lines.append(f"{label},{text}")
+    for label, value in rows:
+        if isinstance(value, str):
+            lines.append(f"{_csv_field(label)},{_csv_field(value)}")
+            continue
+        # "[%d]" holds no comma or quote, so the label quotes as its prefix does
+        template = _csv_field(label.replace("%", "%%") + "[%d]") + ",%.12g"
+        lines.append(_block(template, _finite_floats(value)))
     return "\n".join(lines) + "\n"
+
+
+def _label_width(label: str, value: str | list) -> int:
+    if isinstance(value, str):
+        return len(label)
+    return len(label) + len(str(len(value) - 1)) + 2  # the label of the last index
 
 
 def dumps_table(report: dict) -> str:
     """Aligned two-column text for terminals."""
-    rows: list[tuple[str, str]] = []
+    rows: list[tuple[str, str | list]] = []
     _flatten(report, "", rows)
-    width = max((len(label) for label, _ in rows), default=0)
-    lines = [f"{label.ljust(width)}  {text}" for label, text in rows]
+    width = max((_label_width(label, value) for label, value in rows), default=0)
+    lines = []
+    for label, value in rows:
+        if isinstance(value, str):
+            lines.append(f"{label.ljust(width)}  {value}")
+            continue
+        items = _finite_floats(value)
+        escaped = label.replace("%", "%%")
+        start, digits = 0, 1
+        while start < len(items):  # one template per index width
+            stop = min(10**digits, len(items))
+            pad = " " * (width - len(label) - digits - 2)
+            lines.append(_block(f"{escaped}[%d]{pad}  %.12g", items[start:stop], start))
+            start, digits = stop, digits + 1
     return "\n".join(lines) + "\n"
 
 

@@ -418,6 +418,68 @@ def test_state_over_dim_limit_rejected_before_building(capsys, tmp_path):
     assert peak < 2**20
 
 
+H = 0.7071067811865476
+
+
+def _state_case(state):
+    return {"version": 1, "mode": "quantum", "state": state,
+            "projectors": {"P": {"type": "diagonal", "mask": [1, 0]}}}
+
+
+def _span_case(vectors):
+    return {"version": 1, "mode": "quantum", "state": [[H, 0.0], [H, 0.0]],
+            "projectors": {"P": {"type": "subspace", "vectors": vectors}}}
+
+
+# Amplitude lists that are not all [re, im] pairs of floats are read item by
+# item; their exit codes and messages are the ones that reading always gave.
+@pytest.mark.parametrize(
+    "payload, code, err",
+    [
+        pytest.param(_state_case([1, 0]), 0, "", id="state-ints"),
+        pytest.param(_state_case([[1, 0], [0, 0]]), 0, "", id="state-int-pairs"),
+        pytest.param(_state_case([[H, 0.0], H]), 0, "", id="state-mixed"),
+        pytest.param(_state_case([[H, 0.0], [0, H]]), 0, "", id="state-int-in-pair"),
+        pytest.param(_state_case([True, False]), 2,
+                     "error: quantum.state: expected a number, got True\n", id="state-bool"),
+        pytest.param(_state_case([[H, 0.0], [H, False]]), 2,
+                     "error: quantum.state: expected a number, got False\n",
+                     id="state-bool-in-pair"),
+        pytest.param(_state_case([[H, 0.0], [H]]), 2,
+                     "error: quantum.state: amplitude pair must be [re, im]\n",
+                     id="state-ragged"),
+        pytest.param(_state_case([[H, 0.0, 0.0], [H, 0.0]]), 2,
+                     "error: quantum.state: amplitude pair must be [re, im]\n",
+                     id="state-triple"),
+        pytest.param(_state_case([[H, None], [H, 0.0]]), 2,
+                     "error: quantum.state: expected a number, got None\n", id="state-null"),
+        pytest.param(_state_case([]), 3,
+                     "error: state dimension 0 is not a power of two >= 2\n", id="state-empty"),
+        pytest.param(_span_case([[1, 0]]), 0, "", id="span-ints"),
+        pytest.param(_span_case([[[1.0, 0.0], 0.5], [[0.5, 0.5], [1.0, 0.0]]]), 0, "",
+                     id="span-mixed"),
+        pytest.param(_span_case([[[1.0, 0.0], [True, 0.0]]]), 2,
+                     "error: quantum.projectors.P: expected a number, got True\n",
+                     id="span-bool"),
+        pytest.param(_span_case([[[1.0, 0.0], [0.5]]]), 2,
+                     "error: quantum.projectors.P: amplitude pair must be [re, im]\n",
+                     id="span-ragged-pair"),
+        pytest.param(_span_case([[[1.0, 0.0], [0.5, 0.0]], [["x", 0.0], [0.5, 0.0]]]), 2,
+                     "error: quantum.projectors.P: expected a number, got 'x'\n",
+                     id="span-string-in-second-row"),
+        pytest.param(_span_case([[], []]), 3,
+                     "error: quantum.projectors.P: projector dim 0 does not match required 2\n",
+                     id="span-empty-rows"),
+    ],
+)
+def test_amplitude_lists_keep_exit_codes_and_messages(capsys, tmp_path, payload, code, err):
+    path = tmp_path / "amplitudes.json"
+    path.write_text(json.dumps(payload))
+    got_code, out, got_err = run_cli(capsys, "eval", str(path))
+    assert (got_code, got_err) == (code, err)
+    assert (out == "") == (code != 0)
+
+
 def test_one_parser_serves_every_call(capsys, monkeypatch):
     first = tfuprob.cli.PARSER.parse_args(["eval", "in.json", "--format", "csv"])
     second = tfuprob.cli.PARSER.parse_args(["check", "--seed", "3"])
@@ -487,6 +549,57 @@ def test_eval_output_bytes_are_pinned(capsys, name, fmt):
     code, out, err = run_cli(capsys, "eval", str(FIXTURES / name), "--format", fmt)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EVAL_SHA256[name, fmt]
+
+
+def _generated_payload(mode: str) -> dict:
+    """A seeded input large enough to exercise the per-proposition tables
+    and the flat csv/table rendering: classical n=10, tfu-measure n=7, and
+    a quantum dim-16 state with a mask, a qubit direction and a span."""
+    rng = np.random.default_rng(["classical", "tfu-measure", "quantum"].index(mode) + 70)
+    if mode == "classical":
+        probs = rng.random(1 << 10) * (rng.random(1 << 10) < 0.8)
+        return {"version": 1, "mode": mode, "n": 10, "probs": (probs / probs.sum()).tolist()}
+    if mode == "tfu-measure":
+        measures = rng.random(3**7) * (rng.random(3**7) < 0.8) * 4.0
+        return {"version": 1, "mode": mode, "n": 7, "measures": measures.tolist()}
+    state = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    state /= np.linalg.norm(state)
+    span = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
+    return {
+        "version": 1, "mode": mode,
+        "state": [[z.real, z.imag] for z in state.tolist()],
+        "projectors": {
+            "M": {"type": "diagonal", "mask": rng.integers(2, size=16).tolist()},
+            "D": {"type": "qubit-direction", "theta": 1.1, "phi": 0.3,
+                  "factor": 2, "n_factors": 4},
+            "S": {"type": "subspace",
+                  "vectors": [[[z.real, z.imag] for z in row] for row in span.tolist()]},
+        },
+    }
+
+
+# sha256 of stdout for the generated inputs, taken before the pair loops
+# read per-proposition tables and csv/table printed float lists in bulk.
+GOLDEN_GENERATED_SHA256 = {
+    ("classical", "structured"): "0a7e6fad1e6b3bedd05b105cb3f331bf6936250f136ca4c4af35f1bdc74b42b3",
+    ("classical", "csv"): "5d9cbd3dfab7240502071d7f0a9b88c328b2e09f33cec744244176ae9b2f9207",
+    ("classical", "table"): "8b371ce5baa98229fc815794c40b3ddc8de35b3093b0e6055c66c1ff0f49edee",
+    ("tfu-measure", "structured"): "089f314c7cbb2f3683f6d4d5c1657130535a0ec4b770170a7bef5224c00dd022",
+    ("tfu-measure", "csv"): "b58990b887b5310643b37da18274bb9edd0adaa260f9f37a4d5cb5803c285eeb",
+    ("tfu-measure", "table"): "133fb6af7d521cb977e1adbade7632357e718cbf869ed55155c376c493709cb5",
+    ("quantum", "structured"): "71a16d4834cc155154b68ae29cf262a1b4ef01eada7aadaa2a6b5cc2e1edc04a",
+    ("quantum", "csv"): "d5e620efe3d93da500d04c15b9d73fb988c6ab7aad3bdb843701a396a7ff08fb",
+    ("quantum", "table"): "5bb60a39278e15c94eb7d790ce3020030709b149f0463ffe350eeec89d5cc317",
+}
+
+
+@pytest.mark.parametrize("mode, fmt", sorted(GOLDEN_GENERATED_SHA256))
+def test_generated_eval_output_bytes_are_pinned(capsys, tmp_path, mode, fmt):
+    path = tmp_path / "generated.json"
+    path.write_text(json.dumps(_generated_payload(mode)))
+    code, out, err = run_cli(capsys, "eval", str(path), "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_GENERATED_SHA256[mode, fmt]
 
 
 def test_check_passes_and_is_byte_identical(capsys):

@@ -11,7 +11,7 @@ from tfuprob.measures import (
     cell_from_key,
     cell_key,
     complement_check,
-    decided_distribution,
+    decided,
     noncommutativity_gap,
     swap_tf,
     tfu_conditional,
@@ -154,19 +154,6 @@ def test_gap_vanishes_without_undecided_mass():
         assert abs(noncommutativity_gap(0, 1, m)) < 1e-12
 
 
-def test_decided_distribution_requires_no_undecided_mass():
-    ok = TfuMeasureAssignment.from_mapping(1, {"T": 3.0, "F": 1.0})
-    np.testing.assert_allclose(decided_distribution(ok).probs, [0.75, 0.25])
-    bad = TfuMeasureAssignment.from_mapping(1, {"T": 3.0, "U": 1.0})
-    with pytest.raises(ValidationError, match="no classical counterpart"):
-        decided_distribution(bad)
-
-
-def test_decided_distribution_cell_to_state_order():
-    m = TfuMeasureAssignment.from_mapping(2, {"TT": 0.1, "TF": 0.2, "FT": 0.3, "FF": 0.4})
-    np.testing.assert_allclose(decided_distribution(m).probs, [0.1, 0.2, 0.3, 0.4])
-
-
 def test_augmented_space_needs_even_propositions():
     with pytest.raises(ValidationError, match="even"):
         DecidabilityAugmentedSpace(ClassicalDistribution.uniform(3))
@@ -222,30 +209,6 @@ def _digits_oracle(n, prop):
     return (np.arange(3 ** n) // 3 ** (n - 1 - prop)) % 3
 
 
-def _decided_distribution_oracle(m, tol=0.0):
-    n = m.n
-    probs = np.zeros(1 << n)
-    total = float(m.measures.sum())
-    for cell in range(3 ** n):
-        state = 0
-        undecided = False
-        for k in range(n):
-            digit = (cell // 3 ** (n - 1 - k)) % 3
-            if digit == 2:
-                undecided = True
-                break
-            state = (state << 1) | (1 if digit == 1 else 0)
-        if undecided:
-            if m.measures[cell] > tol:
-                raise ValidationError(
-                    f"cell {cell_key(cell, n)} carries undecided measure "
-                    f"{m.measures[cell]!r}; no classical counterpart"
-                )
-            continue
-        probs[state] += m.measures[cell] / total
-    return probs
-
-
 def _tfu_from_augmented_oracle(space):
     n = space.n
     probs = space.distribution.probs
@@ -277,8 +240,10 @@ def test_digit_table_matches_per_call_arithmetic(n):
         m = TfuMeasureAssignment(n, w)
         for prop in range(n):
             dp = _digits_oracle(n, prop)
-            for digit in range(3):
-                assert m.mass_where(prop, digit) == float(w[dp == digit].sum())
+            d = decided(prop, m)
+            assert np.array_equal(d.true, dp == 0) and np.array_equal(d.false, dp == 1)
+            t, f = float(w[dp == 0].sum()), float(w[dp == 1].sum())
+            assert d.probability() == t / (t + f)
             step = 3 ** (n - 1 - prop)
             source = np.arange(3 ** n) + np.where(dp == 0, step, np.where(dp == 1, -step, 0))
             assert _same_bits(swap_tf(m, prop).measures, w[source])
@@ -295,7 +260,7 @@ def test_digits_reject_out_of_range_proposition(prop):
     with pytest.raises(ValidationError, match="out of range"):
         _digits(2, prop)
     with pytest.raises(ValidationError, match="out of range"):
-        m.mass_where(prop, 0)
+        decided(prop, m)
     with pytest.raises(ValidationError, match="out of range"):
         tfu_conditional(prop, 0 if prop != 0 else 1, m)
 
@@ -303,32 +268,6 @@ def test_digits_reject_out_of_range_proposition(prop):
 def test_digit_table_is_read_only():
     with pytest.raises(ValueError):
         _digits(3, 1)[0] = 2
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_decided_distribution_matches_cell_loop(n):
-    rng = np.random.default_rng([67, n])
-    undecided = np.any([_digits_oracle(n, k) == 2 for k in range(n)], axis=0)
-    for _ in range(4):
-        w = rng.uniform(size=3 ** n) * (rng.random(3 ** n) < 0.8)
-        w[~undecided] += 1e-3
-        clean = np.where(undecided, 0.0, w)
-        m = TfuMeasureAssignment(n, clean)
-        assert _same_bits(decided_distribution(m).probs, _decided_distribution_oracle(m))
-        # with U-mass the same first offending cell is named
-        if w[undecided].max() > 0:
-            m = TfuMeasureAssignment(n, w)
-            with pytest.raises(ValidationError) as want:
-                _decided_distribution_oracle(m)
-            with pytest.raises(ValidationError) as got:
-                decided_distribution(m)
-            assert str(got.value) == str(want.value)
-            # a tol above a trace of U-mass lets it pass, uncounted
-            m = TfuMeasureAssignment(n, np.where(undecided, w * 1e-16, w))
-            tol = float(m.measures[undecided].max())
-            assert _same_bits(
-                decided_distribution(m, tol).probs, _decided_distribution_oracle(m, tol)
-            )
 
 
 @pytest.mark.parametrize("n", range(1, 6))

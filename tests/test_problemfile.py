@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tfuprob import problemfile
 from tfuprob.errors import ProblemFileError, ValidationError
 from tfuprob.quantum import MAX_DIM
 from tfuprob.problemfile import (
@@ -238,3 +239,52 @@ def test_number_lists_checked_item_by_item_unless_all_floats(mode, field):
     for bad in (True, "0.5", None, [0.5]):
         with pytest.raises(ProblemFileError, match="expected a number"):
             loads(json.dumps({**base, field: [0.5, bad] + [0.0] * (size - 2)}))
+
+
+def _per_item_amplitudes(values, where):
+    """The per-amplitude reading every list took before [re, im] pairs of
+    floats were converted in bulk."""
+    return np.array([problemfile._amplitude(v, where) for v in values], dtype=complex)
+
+
+def test_float_pairs_convert_in_bulk_to_the_bits_of_complex():
+    rng = np.random.default_rng(31)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3]
+    for trial in range(200):
+        size = int(rng.integers(1, 300))
+        bits = rng.integers(0, 2**63, size=2 * size, dtype=np.uint64)
+        floats = bits.view(float)
+        floats = np.where(np.isfinite(floats), floats, 0.5).tolist()
+        if trial % 5 == 0:
+            floats[: len(specials)] = specials[: 2 * size]
+        pairs = [floats[k:k + 2] for k in range(0, 2 * size, 2)]
+        got = problemfile._amplitudes(pairs, "here")
+        want = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+        assert got.dtype == np.complex128 and got.shape == (size,)
+        assert got.tobytes() == want.tobytes() == _per_item_amplitudes(pairs, "here").tobytes()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [[1, 0], [0, 0]],  # ints
+        [[0.5, 0.0], [0, 0.5]],  # an int in a pair
+        [[0.5, 0.0], 0.5],  # a bare number among pairs
+        [0.5, 0.25],  # bare numbers
+        [[0.5, 0.0], [0.5, 0.0], []],  # ragged
+        [[0.5, 0.0], [0.5, True]],  # a bool
+        [[0.5, 0.0], [0.5, "0"]],  # a string
+        [[0.5, 0.0], [[0.5], 0.0]],  # nested
+        [[0.5, 0.0, 0.0]],  # a triple
+        [],
+    ],
+)
+def test_other_amplitude_lists_are_read_item_by_item(values):
+    try:
+        want = _per_item_amplitudes(values, "here")
+    except ProblemFileError as exc:
+        with pytest.raises(ProblemFileError) as got:
+            problemfile._amplitudes(values, "here")
+        assert str(got.value) == str(exc)
+    else:
+        assert problemfile._amplitudes(values, "here").tobytes() == want.tobytes()

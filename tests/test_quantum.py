@@ -329,6 +329,36 @@ def test_mixed_commutator_uses_the_dense_matrices():
         assert got == want
 
 
+def test_mask_times_dense_commutator_matches_dense_product():
+    # max |M_ij| over m_i != m_j, with no d^3 product and no dense mask,
+    # equals max |PQ - QP| exactly, in both argument orders
+    rng = np.random.default_rng(108)
+    for trial in range(300):
+        n = int(rng.integers(1, 7))  # dims 2..64
+        mask = _random_mask(rng, n)
+        if trial % 10 == 0:
+            mask[:] = trial % 20 == 0  # uniform masks commute with everything
+        if trial % 3 == 0:
+            spec = QubitDirection(float(rng.uniform(0, np.pi)), float(rng.uniform(0, np.pi)),
+                                  factor=int(rng.integers(n)), n_factors=n)
+        else:
+            rank = int(rng.integers(1, (1 << n) + 1))
+            spec = SubspaceSpan(rng.standard_normal((rank, 1 << n))
+                                + 1j * rng.standard_normal((rank, 1 << n)))
+        dense = projector_from_spec(spec)
+        if trial % 4 == 0:  # a caller-built matrix takes the same path
+            dense = HermitianProjector(dense.matrix)
+        masked = HermitianProjector.from_diagonal(mask)
+        d, m = _dense_diag(mask), dense.matrix
+        for got, want in (
+            (commutator_norm(masked, dense), d @ m - m @ d),
+            (commutator_norm(dense, masked), m @ d - d @ m),
+        ):
+            want = float(np.max(np.abs(want)))
+            assert got == want and type(got) is float, (trial, got, want)
+        assert masked._matrix is None
+
+
 def test_span_projector_matches_dense_basis_product():
     rng = np.random.default_rng(107)
     for _ in range(200):

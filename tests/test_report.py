@@ -98,7 +98,53 @@ MIXED_LISTS = {
 }
 
 
+# The per-row csv and table renderers that printed one label and one
+# format_float per leaf, kept as oracles for the block renderers.
+
+def _oracle_flatten(obj, prefix, rows):
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            _oracle_flatten(obj[key], f"{prefix}.{key}" if prefix else str(key), rows)
+    elif isinstance(obj, (list, tuple)):
+        for pos, item in enumerate(obj):
+            _oracle_flatten(item, f"{prefix}[{pos}]", rows)
+    else:
+        if isinstance(obj, np.generic):
+            obj = obj.item()
+        if isinstance(obj, bool):
+            text = "true" if obj else "false"
+        elif isinstance(obj, float):
+            text = format_float(obj)
+        else:
+            text = "" if obj is None else str(obj)
+        rows.append((prefix, text))
+
+
+def _oracle_dumps_csv(report):
+    rows = []
+    _oracle_flatten(report, "", rows)
+    lines = ["label,value"]
+    for label, text in rows:
+        if "," in text or '"' in text:
+            text = '"' + text.replace('"', '""') + '"'
+        if "," in label or '"' in label:
+            label = '"' + label.replace('"', '""') + '"'
+        lines.append(f"{label},{text}")
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_dumps_table(report):
+    rows = []
+    _oracle_flatten(report, "", rows)
+    width = max((len(label) for label, _ in rows), default=0)
+    return "\n".join(f"{label.ljust(width)}  {text}" for label, text in rows) + "\n"
+
+
 def _render_per_item(report, fmt, monkeypatch):
+    if fmt == "csv":
+        return _oracle_dumps_csv(report)
+    if fmt == "table":
+        return _oracle_dumps_table(report)
     with monkeypatch.context() as m:
         m.setattr("tfuprob.report._joined_floats", lambda items: None)
         return render(report, fmt)
@@ -140,3 +186,54 @@ def test_bulk_path_takes_only_lists_of_python_floats():
     assert _joined_floats((0.5, -0.0)) == "0.5,0"
     for name in ("ints", "bools", "numpy", "mixed", "nested", "empty"):
         assert _joined_floats(MIXED_LISTS[name]) is None, name
+
+
+def _floats(rng, size):
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+    values[rng.random(size) < 0.1] = 0.0
+    return [-0.0 if k % 7 == 3 else float(v) for k, v in enumerate(values)]
+
+
+# one label per index width, on both sides of each power of ten
+BLOCK_SIZES = (0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_float_blocks_match_per_row_rendering(fmt, monkeypatch):
+    rng = np.random.default_rng(89)
+    labels = ["plain", "a,b", 'say "hi"', "100%", "%d%s%%", 'x,"%.12g"', ""]
+    for size in BLOCK_SIZES:
+        for label in labels:
+            report = {label: _floats(rng, size), "z": {"short": 0.5}}
+            assert render(report, fmt) == _render_per_item(report, fmt, monkeypatch), (size, label)
+    # several blocks of different widths in one report share one column
+    report = {
+        "input": {"probs": _floats(rng, 1000), "pairs": [_floats(rng, 2) for _ in range(12)]},
+        'q"x%d': {"a,b": _floats(rng, 10), "tail": tuple(_floats(rng, 101))},
+        "results": {"p,q": {"|p&q|": 0.25, "-zero": -0.0, "ok": True, "none": None}},
+        "empty": [],
+        "mixed": [1, 0.5, "x,y", [[]], [-0.0]],
+    }
+    assert render(report, fmt) == _render_per_item(report, fmt, monkeypatch)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_empty_and_scalar_reports_match_per_row_rendering(fmt, monkeypatch):
+    for report in ({}, {"x": []}, {"x": [[]]}, {"x": -0.0}, {"x": [-0.0]}, {"x": [[-0.0, 0.0]]}):
+        assert render(report, fmt) == _render_per_item(report, fmt, monkeypatch), report
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_float_blocks_reject_non_finite_anywhere(fmt, bad, monkeypatch):
+    with pytest.raises(ValidationError) as want:
+        format_float(bad)
+    for pos in (0, 5, 99, 1000):
+        items = [0.5] * 1001
+        items[pos] = bad
+        with pytest.raises(ValidationError) as got:
+            render({"n": items, "nan": "label text with n"}, fmt)
+        assert str(got.value) == str(want.value)
+    # finite floats whose sum overflows are still finite
+    big = {"x": [1e308, 1e308, -0.0]}
+    assert render(big, fmt) == _render_per_item(big, fmt, monkeypatch)
