@@ -226,9 +226,10 @@ class Projection:
     weight: float
     unit: np.ndarray | None
 
-    def conditional(self, q: DiagonalProjector, tol: float = IDENTITY_TOL) -> float:
-        """Probability of q on the renormalized projection; see `conditional`."""
-        if q.dim != self.vector.size:
+    def conditional(self, q: DiagonalProjector | int, tol: float = IDENTITY_TOL) -> float:
+        """Probability of q, a projector or a proposition index, on the
+        renormalized projection; see `conditional`."""
+        if isinstance(q, DiagonalProjector) and q.dim != self.vector.size:
             raise ValidationError(f"projector dimensions differ: {self.vector.size} vs {q.dim}")
         if self.weight <= tol:
             raise UndefinedConditionalError(
@@ -236,7 +237,7 @@ class Projection:
             )
         # a null projection gets here only with a negative or NaN tol: 0/0
         unit = self.unit if self.unit is not None else self.vector / np.sqrt(self.weight)
-        kept = unit[q.mask]
+        kept = unit[q.mask] if isinstance(q, DiagonalProjector) else affirmed(unit, q)
         return min(float(np.dot(kept, kept)), 1.0)
 
     def direction(self) -> Direction:
@@ -251,7 +252,10 @@ class Projection:
 def project(p: DiagonalProjector, s: RealStateVector) -> Projection:
     if p.dim != s.components.size:
         raise ValidationError("projector and state dimensions differ")
-    vector = np.where(p.mask, s.components, 0.0)
+    return _projection(np.where(p.mask, s.components, 0.0))
+
+
+def _projection(vector: np.ndarray) -> Projection:
     vector.setflags(write=False)
     weight = float(np.dot(vector, vector))
     if weight <= 0.0:
@@ -259,6 +263,38 @@ def project(p: DiagonalProjector, s: RealStateVector) -> Projection:
     unit = vector / np.sqrt(weight)
     unit.setflags(write=False)
     return Projection(vector, weight, unit)
+
+
+def _slab_index(n: int, props: tuple[int, ...]) -> tuple:
+    index = [slice(None)] * n
+    for k in props:
+        if not 0 <= k < n:
+            raise ValidationError(f"proposition index {k} out of range for n={n}")
+        index[k] = 0
+    return tuple(index)
+
+
+def affirmed(vector: np.ndarray, *props: int) -> np.ndarray:
+    """The entries of a 2^n vector at the complete states that affirm every
+    listed proposition, in canonical order, as a contiguous 1-D array.
+
+    In the canonical ordering those states are a strided slab: the vector
+    reshaped to (2, ..., 2) with each proposition's bit fixed at 0. The
+    result is the array `vector[mask]` gathers for the conjunction's truth
+    mask, so a dot product of it adds the same values in the same order.
+    """
+    n = vector.size.bit_length() - 1
+    return vector.reshape((2,) * n)[_slab_index(n, props)].ravel()
+
+
+def project_affirmed(s: RealStateVector, *props: int) -> Projection:
+    """`project` onto the conjunction of the listed propositions, with the
+    slab of the state copied into a zero vector instead of a mask applied."""
+    n = s.n
+    index = _slab_index(n, props)
+    vector = np.zeros(s.components.size)
+    vector.reshape((2,) * n)[index] = s.components.reshape((2,) * n)[index]
+    return _projection(vector)
 
 
 def projected_direction(p: DiagonalProjector, s: RealStateVector) -> Direction:

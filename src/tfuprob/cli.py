@@ -9,15 +9,19 @@ Three verbs:
 Reports go to stdout in the chosen --format (structured JSON by default,
 byte-identical across runs with the same inputs and seed); errors go to
 stderr. Exit codes: 0 success, 1 property/check failure, 2 problem file or
-formula parse error, 3 validation error, 4 undefined conditional, 5 out of
-memory.
+formula parse error, 3 validation error (a non-finite --tolerance too),
+4 undefined conditional, 5 out of memory. `EXIT_CODES` maps each error
+class to its code.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
+
+import numpy as np
 
 from . import __version__, checks, classical, logic, measures, quantum, report, wde
 from .errors import (
@@ -89,10 +93,15 @@ def _eval_classical(problem: ClassicalProblem, tol: float) -> dict:
     names = default_names(n)
     vec = classical.build_state_vector(dist)
     state_dir = classical.state_direction(vec)
-    projs = [classical.projector_for(i, n) for i in range(n)]
-    probs = [classical.probability(projs[i], vec) for i in range(n)]
+
+    def weight(*props: int) -> float:
+        """<s|P|s> of a conjunction of propositions, summed over its slab."""
+        kept = classical.affirmed(vec.components, *props)
+        return min(float(np.dot(kept, kept)), 1.0)
+
+    probs = [weight(i) for i in range(n)]
     # P|s> of each proposition, read by every pair that conditions on it
-    projections = [classical.project(p, vec) for p in projs]
+    projections = [classical.project_affirmed(vec, i) for i in range(n)]
     # the direction of P|s>, for each proposition with probability above tol
     dirs = [None] * n
 
@@ -108,19 +117,17 @@ def _eval_classical(problem: ClassicalProblem, tol: float) -> dict:
     for i in range(n):
         for j in range(i + 1, n):
             pn, qn = names[i], names[j]
-            p, q = projs[i], projs[j]
-            pq = classical.and_op(p, q)
-            joint = classical.probability(pq, vec)
+            joint = weight(i, j)
             entry = {f"|{pn}&{qn}|": joint}
             with _labeled(f"|{qn}|_{pn}"):
-                entry[f"|{qn}|_{pn}"] = projections[i].conditional(q, tol)
+                entry[f"|{qn}|_{pn}"] = projections[i].conditional(j, tol)
             with _labeled(f"|{pn}|_{qn}"):
-                entry[f"|{pn}|_{qn}"] = projections[j].conditional(p, tol)
+                entry[f"|{pn}|_{qn}"] = projections[j].conditional(i, tol)
             if probs[i] > tol and probs[j] > tol:
                 dir_p, dir_q = dirs[i], dirs[j]
                 entry[f"cos2({pn.upper()},{qn.upper()})"] = classical.cos2(dir_p, dir_q)
                 if joint > tol:
-                    dir_pq = classical.projected_direction(pq, vec)
+                    dir_pq = classical.project_affirmed(vec, i, j).direction()
                     entry[f"cos2({pn.upper()},{pn.upper()}{qn.upper()})"] = classical.cos2(
                         dir_p, dir_pq
                     )
@@ -134,13 +141,13 @@ def _eval_classical(problem: ClassicalProblem, tol: float) -> dict:
 def _eval_tfu_measure(problem: TfuMeasureProblem) -> dict:
     m = problem.assignment
     names = default_names(m.n)
-    # the T and F cell masks of each proposition, read by every pair
+    # where each proposition is decided, read by every pair
     decided = [measures.decided(i, m) for i in range(m.n)]
     propositions = {}
     probs = []
     for i, name in enumerate(names):
         with _labeled(f"[{name}]"):
-            prob, comp = measures.complement_check(i, m)
+            prob, comp = decided[i].probabilities()
         probs.append(prob)
         propositions[name] = {f"[{name}]": prob, f"[~{name}]": comp}
     pairs = {}
@@ -342,30 +349,35 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
+# The exit code of each error a command may raise: an error takes the code
+# of the first class of its MRO listed here. A TfuProbError outside the
+# four families is a validation error; MemoryError means an input within
+# the size limits was still too large for this machine.
+EXIT_CODES = {
+    ProblemFileError: EXIT_PARSE,
+    FormulaError: EXIT_PARSE,
+    ValidationError: EXIT_VALIDATION,
+    UndefinedConditionalError: EXIT_UNDEFINED,
+    TfuProbError: EXIT_VALIDATION,
+    MemoryError: EXIT_MEMORY,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = PARSER.parse_args(argv)
     # looked up per call, so a replaced cmd_* function is the one that runs
     commands = {"eval": cmd_eval, "check": cmd_check, "search": cmd_search}
     try:
+        if not math.isfinite(args.tolerance):
+            # every report echoes the tolerance, and NaN compares false with everything
+            raise ValidationError(f"--tolerance must be a finite number, got {args.tolerance!r}")
         return commands[args.command](args)
-    except (ProblemFileError, FormulaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UndefinedConditionalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNDEFINED
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except TfuProbError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except MemoryError as exc:
-        # last resort: inputs are size-checked before allocation, so this
-        # means an input too large for this machine within those limits
-        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
-              file=sys.stderr)
-        return EXIT_MEMORY
+    except tuple(EXIT_CODES) as exc:
+        message = str(exc)
+        if isinstance(exc, MemoryError):
+            message = f"out of memory: {message}" if message else "out of memory"
+        print(f"error: {message}", file=sys.stderr)
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 
 if __name__ == "__main__":

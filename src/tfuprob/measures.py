@@ -27,7 +27,6 @@ Keys like "TU" name cells in files and reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .errors import UndefinedConditionalError, ValidationError
 
 CELL_SYMBOLS = "TFU"
 _T, _F, _U = 0, 1, 2
+_ALL = slice(None)
 
 
 def cell_count(n: int) -> int:
@@ -62,20 +62,15 @@ def cell_from_key(key: str) -> tuple[int, int]:
     return cell, n
 
 
-@lru_cache(maxsize=8)
-def _digit_table(n: int) -> np.ndarray:
-    """Read-only (n, 3^n) uint8 table: row k is the digit of proposition k
-    (0=T, 1=F, 2=U) of every cell. Built on first use, n * 3^n bytes."""
-    table = np.indices((3,) * n, dtype=np.uint8).reshape(n, -1)
-    table.setflags(write=False)
-    return table
-
-
-def _digits(n: int, prop: int) -> np.ndarray:
-    """Digit of `prop` (0=T, 1=F, 2=U) for every cell index, vectorized."""
+def _check_prop(n: int, prop: int) -> None:
     if not 0 <= prop < n:
         raise ValidationError(f"proposition index {prop} out of range for n={n}")
-    return _digit_table(n)[prop]
+
+
+def _cube(m: "TfuMeasureAssignment") -> np.ndarray:
+    """The measures as an n-dimensional (3, ..., 3) view: axis k is the
+    digit of proposition k (0=T, 1=F, 2=U)."""
+    return m.measures.reshape((3,) * m.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,33 +111,49 @@ class TfuMeasureAssignment:
         return cls(n, measures)
 
 
+def _mass(cube: np.ndarray, *fixed: tuple[int, int]) -> float:
+    """Total measure of the cells with the given (axis, digit) pairs: a
+    strided slab of the cube. ravel() copies it, in ascending cell order,
+    into the contiguous array a boolean-mask gather of the same cells would
+    give, so the sum adds the same values in the same order. np.add.reduce
+    is the reduction ndarray.sum runs, without its Python wrapper."""
+    index = [_ALL] * cube.ndim
+    for axis, digit in fixed:
+        index[axis] = digit
+    return float(np.add.reduce(cube[tuple(index)].ravel()))
+
+
 @dataclass(eq=False, slots=True)
 class Decided:
-    """Where one proposition is decided, read off an assignment once: the
-    masks of its T and F cells. Every probability, conditional and gap of
-    this module is computed from these."""
+    """Where one proposition is decided, read off an assignment: its T and F
+    cells are the slabs of the cell cube with the proposition's digit fixed.
+    Every probability, conditional and gap of this module is computed here."""
 
     prop: int
-    measures: np.ndarray
-    true: np.ndarray
-    false: np.ndarray
+    cube: np.ndarray
 
-    def probability(self) -> float:
-        """T-mass relative to the decided (T or F) mass."""
-        t = float(self.measures[self.true].sum())
-        f = float(self.measures[self.false].sum())
+    def probabilities(self) -> tuple[float, float]:
+        """(prob(p), prob(~p)): the T-mass and the F-mass relative to the
+        decided (T or F) mass. prob(~p) is what `probability` gives on the
+        assignment with T and F swapped on p."""
+        t = _mass(self.cube, (self.prop, _T))
+        f = _mass(self.cube, (self.prop, _F))
         if t + f <= 0.0:
             raise UndefinedConditionalError(
                 f"proposition {self.prop} is everywhere undecidable: no decided mass"
             )
-        return t / (t + f)
+        return t / (t + f), f / (f + t)
+
+    def probability(self) -> float:
+        """T-mass relative to the decided (T or F) mass."""
+        return self.probabilities()[0]
 
     def given(self, p: "Decided") -> float:
         """Probability of this proposition among the cells where p is true."""
         if p.prop == self.prop:
             raise ValidationError("conditional needs two distinct propositions")
-        tt = float(self.measures[p.true & self.true].sum())
-        tf = float(self.measures[p.true & self.false].sum())
+        tt = _mass(self.cube, (p.prop, _T), (self.prop, _T))
+        tf = _mass(self.cube, (p.prop, _T), (self.prop, _F))
         if tt + tf <= 0.0:
             raise UndefinedConditionalError(
                 f"no decided mass for proposition {self.prop} among cells where {p.prop} is true"
@@ -151,8 +162,8 @@ class Decided:
 
 
 def decided(prop: int, m: TfuMeasureAssignment) -> Decided:
-    digits = _digits(m.n, prop)
-    return Decided(prop, m.measures, digits == _T, digits == _F)
+    _check_prop(m.n, prop)
+    return Decided(prop, _cube(m))
 
 
 def gap(prob_p: float, q_given_p: float, prob_q: float, p_given_q: float) -> float:
@@ -182,12 +193,8 @@ def noncommutativity_gap(p: int, q: int, m: TfuMeasureAssignment) -> float:
 
 def swap_tf(m: TfuMeasureAssignment, prop: int) -> TfuMeasureAssignment:
     """The assignment with T and F exchanged on one proposition (its negation)."""
-    digits = _digits(m.n, prop)
-    step = 3 ** (m.n - 1 - prop)
-    cells = np.arange(cell_count(m.n))
-    # T<->F: move digit 0 cells up one step, digit 1 cells down; U stays.
-    source = cells + np.where(digits == _T, step, np.where(digits == _F, -step, 0))
-    return TfuMeasureAssignment(m.n, m.measures[source])
+    _check_prop(m.n, prop)
+    return TfuMeasureAssignment(m.n, np.take(_cube(m), [_F, _T, _U], axis=prop).ravel())
 
 
 def complement_check(prop: int, m: TfuMeasureAssignment) -> tuple[float, float]:

@@ -10,6 +10,7 @@ the same bytes, which is the round-trip the test suite pins down.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii  # what json.dumps does to a str
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import ValidationError
 
 _NON_FINITE = "reports cannot carry NaN or infinite values"
 _FLOAT_ONLY = {float}
+_SEQUENCES = {list, tuple}
 
 
 def format_float(value: float) -> str:
@@ -39,17 +41,43 @@ def _finite_floats(items: list) -> list:
     return [x or 0.0 for x in items] if 0.0 in items else items
 
 
-def _joined_floats(items) -> str | None:
-    """format_float of every item, joined by commas, when all items are
-    Python floats; else None.
-
-    Reports are mostly lists of floats, long ones and [re, im] pairs; one
-    %-format over the whole list gives the same text as format_float on
-    each item, at a fraction of the cost.
-    """
-    if set(map(type, items)) != _FLOAT_ONLY:
+def _float_rows(items) -> tuple[list, list[str]] | None:
+    """(floats, label suffixes of one item) when every item is a Python
+    float (one item, one float, no suffix) or items is a non-empty list of
+    equal-length lists of k >= 1 Python floats, such as the [re, im] pairs
+    of a state (the items' floats in order, suffixes "[0]" to "[k-1]");
+    else None."""
+    types = set(map(type, items))
+    if types == _FLOAT_ONLY:
+        return items, [""]
+    if not items or not types <= _SEQUENCES:
         return None
-    return ",".join(["%.12g"] * len(items)) % tuple(_finite_floats(items))
+    widths = set(map(len, items))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    floats = list(chain.from_iterable(items))
+    if set(map(type, floats)) != _FLOAT_ONLY:
+        return None
+    return floats, [f"[{k}]" for k in range(widths.pop())]
+
+
+def _joined_floats(items) -> str | None:
+    """The items as the structured renderer prints them, without the outer
+    brackets, when `_float_rows` takes them; else None.
+
+    Reports are mostly lists of floats, long ones and lists of [re, im]
+    pairs; one %-format over the whole list gives the same text as
+    format_float on each float, at a fraction of the cost.
+    """
+    rows = _float_rows(items)
+    if rows is None:
+        return None
+    floats, suffixes = rows
+    floats = _finite_floats(floats)
+    item = ",".join(["%.12g"] * len(suffixes))
+    if suffixes != [""]:
+        item = f"[{item}]"
+    return ",".join([item] * (len(floats) // len(suffixes))) % tuple(floats)
 
 
 def _emit(obj, out: list[str]) -> None:
@@ -100,16 +128,18 @@ def dumps_canonical(report: dict) -> str:
     return "".join(out) + "\n"
 
 
-def _flatten(obj, prefix: str, rows: list[tuple[str, str | list]]) -> None:
+def _flatten(obj, prefix: str, rows: list[tuple[str, str | tuple[list, list[str]]]]) -> None:
     """Append a (label, rendered value) row for every leaf of obj, and one
-    (label prefix, list) row for every list whose items are all Python
-    floats; the renderers print such a list in one block."""
+    (label prefix, `_float_rows` pair) row for every list of Python floats
+    or of equal-length lists of them; the renderers print such a list in
+    one block."""
     if isinstance(obj, dict):
         for key in sorted(obj):
             _flatten(obj[key], f"{prefix}.{key}" if prefix else str(key), rows)
     elif isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) == _FLOAT_ONLY:
-            rows.append((prefix, obj))
+        block = _float_rows(obj)
+        if block is not None:
+            rows.append((prefix, block))
             return
         for pos, item in enumerate(obj):
             _flatten(item, f"{prefix}[{pos}]", rows)
@@ -129,13 +159,16 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _block(template: str, items: list, start: int = 0) -> str:
-    """`template % (index, item)` for every item, one line each, from one
-    %-format call; indices count from `start`. Items are finite floats."""
-    args = [0] * (2 * len(items))
-    args[::2] = range(start, start + len(items))
-    args[1::2] = items
-    return "\n".join([template] * len(items)) % tuple(args)
+def _block(template: str, floats: list, per: int, start: int = 0) -> str:
+    """`template % (index, float, index, float, ...)` for every item of a
+    `_float_rows` block, one item of `per` floats after another, from one
+    %-format call; the template holds an index and a float for each of the
+    item's floats, and indices count from `start`. Floats are finite."""
+    indices = range(start, start + len(floats) // per)
+    args = [0] * (2 * len(floats))
+    args[::2] = indices if per == 1 else chain.from_iterable(zip(*[indices] * per))
+    args[1::2] = floats
+    return "\n".join([template] * len(indices)) % tuple(args)
 
 
 def _csv_field(text: str) -> str:
@@ -146,28 +179,33 @@ def _csv_field(text: str) -> str:
 
 def dumps_csv(report: dict) -> str:
     """Flat label,value rows; lists are indexed, nesting is dotted."""
-    rows: list[tuple[str, str | list]] = []
+    rows: list[tuple[str, str | tuple[list, list[str]]]] = []
     _flatten(report, "", rows)
     lines = ["label,value"]
     for label, value in rows:
         if isinstance(value, str):
             lines.append(f"{_csv_field(label)},{_csv_field(value)}")
             continue
-        # "[%d]" holds no comma or quote, so the label quotes as its prefix does
-        template = _csv_field(label.replace("%", "%%") + "[%d]") + ",%.12g"
-        lines.append(_block(template, _finite_floats(value)))
+        floats, suffixes = value
+        # "[%d]" and the suffixes hold no comma or quote, so each label
+        # quotes as its prefix does
+        escaped = label.replace("%", "%%") + "[%d]"
+        template = "\n".join(_csv_field(escaped + suffix) + ",%.12g" for suffix in suffixes)
+        lines.append(_block(template, _finite_floats(floats), len(suffixes)))
     return "\n".join(lines) + "\n"
 
 
-def _label_width(label: str, value: str | list) -> int:
+def _label_width(label: str, value: str | tuple[list, list[str]]) -> int:
     if isinstance(value, str):
         return len(label)
-    return len(label) + len(str(len(value) - 1)) + 2  # the label of the last index
+    floats, suffixes = value
+    last = len(floats) // len(suffixes) - 1
+    return len(label) + len(str(last)) + 2 + len(suffixes[-1])  # the longest label
 
 
 def dumps_table(report: dict) -> str:
     """Aligned two-column text for terminals."""
-    rows: list[tuple[str, str | list]] = []
+    rows: list[tuple[str, str | tuple[list, list[str]]]] = []
     _flatten(report, "", rows)
     width = max((_label_width(label, value) for label, value in rows), default=0)
     lines = []
@@ -175,13 +213,19 @@ def dumps_table(report: dict) -> str:
         if isinstance(value, str):
             lines.append(f"{label.ljust(width)}  {value}")
             continue
-        items = _finite_floats(value)
+        floats, suffixes = value
+        floats = _finite_floats(floats)
+        per = len(suffixes)
+        count = len(floats) // per
         escaped = label.replace("%", "%%")
         start, digits = 0, 1
-        while start < len(items):  # one template per index width
-            stop = min(10**digits, len(items))
-            pad = " " * (width - len(label) - digits - 2)
-            lines.append(_block(f"{escaped}[%d]{pad}  %.12g", items[start:stop], start))
+        while start < count:  # one template per index width
+            stop = min(10**digits, count)
+            template = "\n".join(
+                f"{escaped}[%d]{suffix}{' ' * (width - len(label) - digits - 2 - len(suffix))}  %.12g"
+                for suffix in suffixes
+            )
+            lines.append(_block(template, floats[start * per:stop * per], per, start))
             start, digits = stop, digits + 1
     return "\n".join(lines) + "\n"
 

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 import tfuprob.checks
 import tfuprob.classical
 import tfuprob.cli
+import tfuprob.errors
 import tfuprob.quantum
 import tfuprob.report
 from tfuprob.cli import main
@@ -257,6 +260,76 @@ def test_exit_code_undefined_conditional(capsys, tmp_path):
     code, _, err = run_cli(capsys, "eval", str(all_u))
     assert code == 4
     assert "[p]" in err and "undecidable" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+@pytest.mark.parametrize("verb", ["eval", "search", "check"])
+def test_non_finite_tolerance_exits_3_before_any_work(capsys, monkeypatch, tmp_path, verb, value):
+    ran = []
+
+    def refuse(*args, **kwargs):
+        ran.append(args)
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(tfuprob.cli, "load_path", refuse)
+    monkeypatch.setattr(tfuprob.checks, "run_checks", refuse)
+    argv = [verb] if verb == "check" else [verb, str(FIXTURES / "wde_quantum.json")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv, f"--tolerance={value}")
+    assert (code, out, ran, caught) == (3, "", [], [])
+    assert err == f"error: --tolerance must be a finite number, got {float(value)!r}\n"
+
+
+def test_non_finite_tolerance_on_a_null_proposition_prints_one_line(capsys, tmp_path):
+    # before the up-front check, NaN let a null condition reach 0/0, and the
+    # numpy RuntimeWarning put more lines on stderr
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps({"version": 1, "mode": "classical", "n": 2,
+                                "probs": [0.0, 0.0, 0.5, 0.5]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "eval", str(path), "--tolerance", "nan")
+    assert (code, out, caught) == (3, "", [])
+    assert err.count("\n") == 1 and "tolerance" in err
+
+
+def _documented_codes(text: str) -> set[int]:
+    return {int(code) for code in re.findall(r"(?m)^\| (\d+) \|", text)}
+
+
+def test_exit_code_table_matches_readme_and_docstring():
+    readme = (FIXTURES.parent / "README.md").read_text()
+    section = readme.split("### Exit codes", 1)[1].split("\n## ", 1)[0]
+    docstring = tfuprob.cli.__doc__.split("Exit codes:", 1)[1]
+    in_docstring = {int(code) for code in re.findall(r"(\d+) [a-z]", docstring)}
+    cli = tfuprob.cli
+    in_table = {cli.EXIT_OK, cli.EXIT_CHECK_FAILED, *cli.EXIT_CODES.values()}
+    assert _documented_codes(section) == in_docstring == in_table == {0, 1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (tfuprob.errors.ProblemFileError("x"), 2),
+        (tfuprob.errors.FormulaError("x"), 2),
+        (tfuprob.errors.ValidationError("x"), 3),
+        (tfuprob.errors.UndefinedConditionalError("x"), 4),
+        (tfuprob.errors.TfuProbError("x"), 3),
+        (type("OtherError", (tfuprob.errors.TfuProbError,), {})("x"), 3),
+        (type("Both", (tfuprob.errors.UndefinedConditionalError,
+                       tfuprob.errors.ValidationError), {})("x"), 4),
+        (MemoryError(), 5),
+    ],
+)
+def test_errors_take_the_code_of_their_first_listed_class(capsys, monkeypatch, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(tfuprob.cli, "cmd_check", fail)
+    got, out, err = run_cli(capsys, "check")
+    assert (got, out) == (code, "")
+    assert err == ("error: out of memory\n" if code == 5 else "error: x\n")
 
 
 SINGLET_STATE = [0, 0.7071067811865476, -0.7071067811865476, 0]
@@ -600,6 +673,64 @@ def test_generated_eval_output_bytes_are_pinned(capsys, tmp_path, mode, fmt):
     code, out, err = run_cli(capsys, "eval", str(path), "--format", fmt)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_GENERATED_SHA256[mode, fmt]
+
+
+def _large_payload(mode: str) -> dict:
+    """The large end of each pair-table mode: classical n=14 (with exact
+    zeros), tfu-measure n=9 (with zero cells), and a quantum dim-64 state
+    with a mask, a qubit direction and two spans, whose [re, im] pair lists
+    dominate the csv and table echo."""
+    rng = np.random.default_rng(["classical", "tfu-measure", "quantum"].index(mode) + 140)
+    if mode == "classical":
+        probs = rng.random(1 << 14) * (rng.random(1 << 14) < 0.8)
+        return {"version": 1, "mode": mode, "n": 14, "probs": (probs / probs.sum()).tolist()}
+    if mode == "tfu-measure":
+        measures = rng.random(3**9) * (rng.random(3**9) < 0.8) * 4.0
+        return {"version": 1, "mode": mode, "n": 9, "measures": measures.tolist()}
+
+    def amps(rows):
+        return [[[z.real, z.imag] for z in row] for row in rows.tolist()]
+
+    state = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    state /= np.linalg.norm(state)
+    return {
+        "version": 1, "mode": mode,
+        "state": amps(state[None, :])[0],
+        "projectors": {
+            "M": {"type": "diagonal", "mask": rng.integers(2, size=64).tolist()},
+            "D": {"type": "qubit-direction", "theta": 0.7, "phi": 2.1,
+                  "factor": 3, "n_factors": 6},
+            "S": {"type": "subspace",
+                  "vectors": amps(rng.standard_normal((16, 64)) + 1j * rng.standard_normal((16, 64)))},
+            "T": {"type": "subspace",
+                  "vectors": amps(rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64)))},
+        },
+    }
+
+
+# sha256 of stdout for the large inputs, taken before the eval path read
+# propositions as slabs of the state and cell arrays and before csv/table
+# printed lists of [re, im] pairs in one block.
+GOLDEN_LARGE_SHA256 = {
+    ("classical", "structured"): "df9ca66e5b64cc34fe842788f7904d0f1bb3201049e3b7a907eb2aa81bafcaa0",
+    ("classical", "csv"): "cc0f7cf58e1d7ac08c7ce1cfa849332372d32e6a38588cc1d197d2e130e0570e",
+    ("classical", "table"): "f0ed68c9839368d4e26002d3e5cd1699631787438cfba57b246fd3185a9a3fa4",
+    ("tfu-measure", "structured"): "4e5334c390506487ec5930bd6892c7a71f985bd31085c3d7f151bc29d78e1e30",
+    ("tfu-measure", "csv"): "38b7e8b469aafcc8955ada92660d248d5c4a7b7a6ab3c163a27317a1212ca668",
+    ("tfu-measure", "table"): "f632a2455a3c0c12d5158cdafb3627440d6cd24348234b647bcda04e1160398c",
+    ("quantum", "structured"): "0d0c3eaf7b71740df8bb9d838dc337a6dcbdca63d1310a12650cd10e5f65db46",
+    ("quantum", "csv"): "dd2f43dbad7d342cee7f75f6caae318b6b07665740b389724c498bb39a9e8871",
+    ("quantum", "table"): "beb4415e2de818cfca4a1af8cefd0f3993c6a0f0fb66116a3edb49614607ffb5",
+}
+
+
+@pytest.mark.parametrize("mode, fmt", sorted(GOLDEN_LARGE_SHA256))
+def test_large_eval_output_bytes_are_pinned(capsys, tmp_path, mode, fmt):
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(_large_payload(mode)))
+    code, out, err = run_cli(capsys, "eval", str(path), "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LARGE_SHA256[mode, fmt]
 
 
 def test_check_passes_and_is_byte_identical(capsys):

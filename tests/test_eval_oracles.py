@@ -1,7 +1,8 @@
 """The per-call pair loops of `eval` and the per-call engine functions they
-called, kept as oracles for the per-proposition tables (classical
-projections, T/F masks and masses) that replaced them. Results are
-compared bit for bit; errors by class and text."""
+called, which read every proposition through a truth mask, kept as oracles
+for the per-proposition tables and slab reads that replaced them (classical
+projections read as slabs of the state, T/F masses as slabs of the cell
+cube). Results are compared bit for bit; errors by class and text."""
 
 import json
 
@@ -197,7 +198,7 @@ def _outcome(fn, *args):
 # ---------------------------------------------------------------------------
 # pair loops against the old loops
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_classical_pairs_match_per_call_loop(n):
     rng = np.random.default_rng([113, n])
     for kind in CLASSICAL_KINDS:
@@ -207,7 +208,7 @@ def test_classical_pairs_match_per_call_loop(n):
             assert _outcome(cli._eval_classical, problem, tol) == want, (kind, tol)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_tfu_measure_pairs_match_per_call_loop(n):
     rng = np.random.default_rng([127, n])
     for kind in TFU_KINDS:
@@ -272,6 +273,40 @@ def test_projection_is_what_conditional_and_direction_computed():
         if proj.weight > 0.0:
             with pytest.raises(ValueError):
                 proj.unit[0] = 1.0
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_slab_reads_are_the_mask_gathers(n):
+    # affirmed/project_affirmed read a proposition, or the conjunction of
+    # two, as a slab of the state; the truth masks gather the same entries
+    rng = np.random.default_rng([149, n])
+    for kind in CLASSICAL_KINDS:
+        s = classical.build_state_vector(
+            loads(json.dumps(_classical_payload(rng, n, kind))).problem.distribution
+        )
+        masks = [classical.projector_for(i, n).mask for i in range(n)]
+        subsets = [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for props in subsets:
+            mask = np.logical_and.reduce([masks[k] for k in props])
+            assert classical.affirmed(s.components, *props).tobytes() == s.components[mask].tobytes()
+            got = classical.project_affirmed(s, *props)
+            want = classical.project(classical.DiagonalProjector(mask), s)
+            assert got.vector.tobytes() == want.vector.tobytes()
+            assert repr(got.weight) == repr(want.weight)
+            assert _outcome(lambda: got.direction().unit.tobytes()) == _outcome(
+                lambda: want.direction().unit.tobytes()
+            )
+            for q in range(n):
+                q_mask = classical.DiagonalProjector(masks[q])
+                for tol in (1e-12, 0.3, -1.0):
+                    with np.errstate(invalid="ignore"):  # 0/0 on a null condition with tol < 0
+                        assert _outcome(got.conditional, q, tol) == _outcome(
+                            want.conditional, q_mask, tol
+                        ), (kind, props, q, tol)
+    v = np.zeros(1 << n)
+    for bad in (-1, n):
+        with pytest.raises(ValidationError, match="out of range"):
+            classical.affirmed(v, bad)
 
 
 def test_projection_checks_dimensions():

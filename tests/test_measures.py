@@ -17,7 +17,6 @@ from tfuprob.measures import (
     tfu_conditional,
     tfu_from_augmented,
     tfu_probability,
-    _digits,
 )
 
 
@@ -202,8 +201,8 @@ def test_augmented_gap_matches_direct_gap():
 
 
 # ---------------------------------------------------------------------------
-# reference oracles: the per-call digit arithmetic and the per-cell loops
-# that the cached digit table replaced; results must agree bit for bit
+# reference oracles: the per-call digit arithmetic, whose masks the slab
+# reads replaced, and the per-cell loops; results must agree bit for bit
 
 def _digits_oracle(n, prop):
     return (np.arange(3 ** n) // 3 ** (n - 1 - prop)) % 3
@@ -229,45 +228,53 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_digit_table_matches_per_call_arithmetic(n):
+# n=10: slabs of 3^9 cells, past numpy's 8192-item reduction buffer, where
+# summing a strided slab without ravel() would change the order of the adds
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 10])
+def test_slab_reads_match_digit_masks(n):
+    # every sum is read from a slab of the cell cube; the per-call digit
+    # arithmetic builds the masks the sums used to gather through
     rng = np.random.default_rng([61, n])
-    for prop in range(n):
-        assert np.array_equal(_digits(n, prop), _digits_oracle(n, prop))
-    for _ in range(3):
-        # exact zeros in some cells, so masks that drop cells would show
-        w = rng.uniform(size=3 ** n) * (rng.random(3 ** n) < 0.8) + 1e-300
+    for scale in (1.0, 1e-5, 1e5):
+        # 1e-300 cells next to ordinary ones, so a read that dropped or
+        # moved cells would show (exact zeros: test_eval_oracles)
+        w = rng.uniform(size=3 ** n) * (rng.random(3 ** n) < 0.8) * scale + 1e-300
         m = TfuMeasureAssignment(n, w)
         for prop in range(n):
             dp = _digits_oracle(n, prop)
             d = decided(prop, m)
-            assert np.array_equal(d.true, dp == 0) and np.array_equal(d.false, dp == 1)
             t, f = float(w[dp == 0].sum()), float(w[dp == 1].sum())
-            assert d.probability() == t / (t + f)
+            assert repr(d.probabilities()) == repr((t / (t + f), f / (t + f)))
+            assert repr(tfu_probability(prop, m)) == repr(t / (t + f))
             step = 3 ** (n - 1 - prop)
             source = np.arange(3 ** n) + np.where(dp == 0, step, np.where(dp == 1, -step, 0))
             assert _same_bits(swap_tf(m, prop).measures, w[source])
+            assert repr(complement_check(prop, m)) == repr(d.probabilities())
         for p, q in itertools.permutations(range(n), 2):
             dp, dq = _digits_oracle(n, p), _digits_oracle(n, q)
             tt = float(w[(dp == 0) & (dq == 0)].sum())
             tf = float(w[(dp == 0) & (dq == 1)].sum())
-            assert tfu_conditional(q, p, m) == tt / (tt + tf)
+            assert repr(tfu_conditional(q, p, m)) == repr(tt / (tt + tf))
 
 
 @pytest.mark.parametrize("prop", [-1, 2, 5])
 def test_digits_reject_out_of_range_proposition(prop):
     m = TfuMeasureAssignment(2, np.ones(9))
-    with pytest.raises(ValidationError, match="out of range"):
-        _digits(2, prop)
-    with pytest.raises(ValidationError, match="out of range"):
-        decided(prop, m)
+    for read in (decided, tfu_probability, swap_tf):
+        args = (m, prop) if read is swap_tf else (prop, m)
+        with pytest.raises(ValidationError, match="out of range"):
+            read(*args)
     with pytest.raises(ValidationError, match="out of range"):
         tfu_conditional(prop, 0 if prop != 0 else 1, m)
 
 
-def test_digit_table_is_read_only():
+def test_slab_reads_leave_measures_read_only():
+    m = TfuMeasureAssignment(3, np.arange(27.0))
     with pytest.raises(ValueError):
-        _digits(3, 1)[0] = 2
+        decided(1, m).cube[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        swap_tf(m, 1).measures[0] = 2.0
+    assert m.measures.tolist() == list(range(27))
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -237,3 +237,81 @@ def test_float_blocks_reject_non_finite_anywhere(fmt, bad, monkeypatch):
     # finite floats whose sum overflows are still finite
     big = {"x": [1e308, 1e308, -0.0]}
     assert render(big, fmt) == _render_per_item(big, fmt, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# lists of equal-length float lists ([re, im] pairs of states and span rows)
+# in one block, against the per-row oracles
+
+PAIR_COUNTS = (0, 1, 9, 10, 11, 100, 1000)
+
+
+def _chunks(flat, inner):
+    return [flat[pos:pos + inner] for pos in range(0, len(flat), inner)]
+
+
+@pytest.mark.parametrize("fmt", ["structured", "csv", "table"])
+def test_pair_lists_match_per_row_rendering(fmt, monkeypatch):
+    rng = np.random.default_rng(101)
+    for count in PAIR_COUNTS:
+        # inner lists of 11 floats take two index widths inside one item
+        for inner in (1, 2, 3, 11):
+            items = _chunks(_floats(rng, count * inner), inner)
+            for label in ("state", "a,b", 'q"%d'):
+                report = {"input": {label: items, "tail": 0.5}, "z": [items[:1], []]}
+                got = render(report, fmt)
+                assert got == _render_per_item(report, fmt, monkeypatch), (count, inner, label)
+    # a state and a span as a problem file echoes them, next to flat lists
+    report = {
+        "state": _chunks(_floats(rng, 128), 2),
+        "vectors": [_chunks(_floats(rng, 128), 2) for _ in range(3)],
+        "probs": _floats(rng, 12),
+        "pairs": tuple((-0.0, 0.0) for _ in range(4)),
+    }
+    assert render(report, fmt) == _render_per_item(report, fmt, monkeypatch)
+
+
+PAIR_FALLBACKS = {
+    "ragged": [[0.5, 1.0], [0.25]],
+    "ragged-first": [[0.5], [0.25, 1.0]],
+    "int": [[0.5, 1.0], [0.25, 1]],
+    "bool": [[0.5, True], [0.25, 0.5]],
+    "none": [[0.5, None], [0.25, 0.5]],
+    "numpy": [[np.float64(0.5), 0.5], [0.25, -0.0]],
+    "string": [[0.5, "x,y"], [0.25, 0.5]],
+    "scalar-among-pairs": [[0.5, 1.0], 0.25],
+    "empty-items": [[], []],
+    "nested-deeper": [[[0.5], [1.0]], [[0.25], [-0.0]]],  # rows are blocks, the list is not
+    "dict-items": [{"a": 0.5}, {"a": -0.0}],
+}
+
+
+@pytest.mark.parametrize("fmt", ["structured", "csv", "table"])
+def test_lists_that_are_not_pair_lists_render_per_item(fmt, monkeypatch):
+    from tfuprob.report import _joined_floats
+
+    for name, items in PAIR_FALLBACKS.items():
+        assert _joined_floats(items) is None, name
+        report = {"x": items, "long label": [[0.5, -0.0]] * 3}
+        assert render(report, fmt) == _render_per_item(report, fmt, monkeypatch), name
+
+
+def test_pair_lists_join_in_one_block():
+    from tfuprob.report import _joined_floats
+
+    assert _joined_floats([[0.5, -0.0], [1 / 3, 1e308]]) == "[0.5,0],[0.333333333333,1e+308]"
+    assert _joined_floats(((0.25,),)) == "[0.25]"
+    assert _joined_floats([(0.5, 0.25, -2.5)]) == "[0.5,0.25,-2.5]"
+
+
+@pytest.mark.parametrize("fmt", ["structured", "csv", "table"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_pair_lists_reject_non_finite_anywhere(fmt, bad):
+    with pytest.raises(ValidationError) as want:
+        format_float(bad)
+    for pos in (0, 1, 19, 1999):
+        flat = [0.5] * 2000
+        flat[pos] = bad
+        with pytest.raises(ValidationError) as got:
+            render({"state": _chunks(flat, 2), "x": "label text"}, fmt)
+        assert str(got.value) == str(want.value)
