@@ -24,7 +24,7 @@ import numpy as np
 from .errors import UndefinedConditionalError, ValidationError
 from . import formulas
 from .formulas import Formula
-from .logic import state_from_key, state_count
+from .logic import slab_index, state_from_key, state_count
 
 IDENTITY_TOL = 1e-12
 
@@ -265,15 +265,6 @@ def _projection(vector: np.ndarray) -> Projection:
     return Projection(vector, weight, unit)
 
 
-def _slab_index(n: int, props: tuple[int, ...]) -> tuple:
-    index = [slice(None)] * n
-    for k in props:
-        if not 0 <= k < n:
-            raise ValidationError(f"proposition index {k} out of range for n={n}")
-        index[k] = 0
-    return tuple(index)
-
-
 def affirmed(vector: np.ndarray, *props: int) -> np.ndarray:
     """The entries of a 2^n vector at the complete states that affirm every
     listed proposition, in canonical order, as a contiguous 1-D array.
@@ -284,14 +275,14 @@ def affirmed(vector: np.ndarray, *props: int) -> np.ndarray:
     mask, so a dot product of it adds the same values in the same order.
     """
     n = vector.size.bit_length() - 1
-    return vector.reshape((2,) * n)[_slab_index(n, props)].ravel()
+    return vector.reshape((2,) * n)[slab_index(n, *[(k, 0) for k in props])].ravel()
 
 
 def project_affirmed(s: RealStateVector, *props: int) -> Projection:
     """`project` onto the conjunction of the listed propositions, with the
     slab of the state copied into a zero vector instead of a mask applied."""
     n = s.n
-    index = _slab_index(n, props)
+    index = slab_index(n, *[(k, 0) for k in props])
     vector = np.zeros(s.components.size)
     vector.reshape((2,) * n)[index] = s.components.reshape((2,) * n)[index]
     return _projection(vector)

@@ -8,10 +8,10 @@ Three verbs:
 
 Reports go to stdout in the chosen --format (structured JSON by default,
 byte-identical across runs with the same inputs and seed); errors go to
-stderr. Exit codes: 0 success, 1 property/check failure, 2 problem file or
-formula parse error, 3 validation error (a non-finite --tolerance too),
-4 undefined conditional, 5 out of memory. `EXIT_CODES` maps each error
-class to its code.
+stderr. Exit codes: 0 success, 1 property/check failure, 2 usage error or
+problem file or formula parse error, 3 validation error (a negative or
+non-finite --tolerance too), 4 undefined conditional, 5 out of memory.
+`EXIT_CODES` maps each error class to its code.
 """
 
 from __future__ import annotations
@@ -141,13 +141,11 @@ def _eval_classical(problem: ClassicalProblem, tol: float) -> dict:
 def _eval_tfu_measure(problem: TfuMeasureProblem) -> dict:
     m = problem.assignment
     names = default_names(m.n)
-    # where each proposition is decided, read by every pair
-    decided = [measures.decided(i, m) for i in range(m.n)]
     propositions = {}
     probs = []
     for i, name in enumerate(names):
         with _labeled(f"[{name}]"):
-            prob, comp = decided[i].probabilities()
+            prob, comp = measures.complement_check(i, m)
         probs.append(prob)
         propositions[name] = {f"[{name}]": prob, f"[~{name}]": comp}
     pairs = {}
@@ -155,9 +153,9 @@ def _eval_tfu_measure(problem: TfuMeasureProblem) -> dict:
         for j in range(i + 1, m.n):
             pn, qn = names[i], names[j]
             with _labeled(f"[{qn}]_{pn}"):
-                q_given_p = decided[j].given(decided[i])
+                q_given_p = measures.tfu_conditional(j, i, m)
             with _labeled(f"[{pn}]_{qn}"):
-                p_given_q = decided[i].given(decided[j])
+                p_given_q = measures.tfu_conditional(i, j, m)
             pairs[f"{pn},{qn}"] = {
                 f"[{qn}]_{pn}": q_given_p,
                 f"[{pn}]_{qn}": p_given_q,
@@ -312,8 +310,17 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors instead of printing the usage block and
+    exiting, so `main` reports them on one line like every other error.
+    Sub-command parsers are built from the same class."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tfuprob",
         description="Three-valued logic, projector probabilities, and the "
         "Wigner-d'Espagnat inequality lab.",
@@ -349,11 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
-# The exit code of each error a command may raise: an error takes the code
-# of the first class of its MRO listed here. A TfuProbError outside the
-# four families is a validation error; MemoryError means an input within
-# the size limits was still too large for this machine.
+# The exit code of each error the parser or a command may raise: an error
+# takes the code of the first class of its MRO listed here. A TfuProbError
+# outside the four families is a validation error; MemoryError means an
+# input within the size limits was still too large for this machine.
 EXIT_CODES = {
+    argparse.ArgumentError: EXIT_PARSE,
     ProblemFileError: EXIT_PARSE,
     FormulaError: EXIT_PARSE,
     ValidationError: EXIT_VALIDATION,
@@ -364,14 +372,21 @@ EXIT_CODES = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = PARSER.parse_args(argv)
     # looked up per call, so a replaced cmd_* function is the one that runs
     commands = {"eval": cmd_eval, "check": cmd_check, "search": cmd_search}
     try:
+        args = PARSER.parse_args(argv)
         if not math.isfinite(args.tolerance):
             # every report echoes the tolerance, and NaN compares false with everything
             raise ValidationError(f"--tolerance must be a finite number, got {args.tolerance!r}")
-        return commands[args.command](args)
+        if args.tolerance < 0:
+            # a null condition or projection would pass every "> tolerance" test
+            raise ValidationError(f"--tolerance must not be negative, got {args.tolerance!r}")
+        # An overflow or 0/0 ends as an inf or NaN that a validator or the
+        # report's finite check turns into exit 3; numpy's warning about it
+        # would only add lines to stderr.
+        with np.errstate(all="ignore"):
+            return commands[args.command](args)
     except tuple(EXIT_CODES) as exc:
         message = str(exc)
         if isinstance(exc, MemoryError):

@@ -123,13 +123,30 @@ def affirms(state: int, prop: int, n: int) -> bool:
     return (state >> (n - 1 - prop)) & 1 == 0
 
 
-@lru_cache(maxsize=8)
-def _affirm_table(n: int) -> np.ndarray:
-    """Read-only (n, 2^n) bool table: row k says, for every complete state,
-    whether it affirms proposition k. Built on first use, n * 2^n bytes."""
-    table = np.indices((2,) * n, dtype=np.uint8).reshape(n, -1) == 0
-    table.setflags(write=False)
-    return table
+def check_prop(prop: int, n: int) -> None:
+    """Reject a proposition index outside 0..n-1."""
+    if not 0 <= prop < n:
+        raise ValidationError(f"proposition index {prop} out of range for n={n}")
+
+
+@lru_cache(maxsize=4096)
+def slab_index(n: int, *fixed: tuple[int, int]) -> tuple:
+    """Index tuple for an array reshaped to one axis per proposition
+    ((2,)*n over complete states, (3,)*n over T/F/U cells) that fixes each
+    listed (proposition, digit) pair and keeps every other axis whole.
+
+    In the canonical ordering the complete states (or cells) with those
+    digits are exactly this strided slab, and its ravel() lists them in
+    ascending index order, as a boolean-mask gather of the same entries
+    would. Each proposition index is range-checked in the order given.
+    Cached: the eval and check paths ask for the same few tuples again and
+    again, and building one takes about a third as long as a small read.
+    """
+    index = [slice(None)] * n
+    for prop, digit in fixed:
+        check_prop(prop, n)
+        index[prop] = digit
+    return tuple(index)
 
 
 def state_key(state: int, n: int) -> str:
@@ -139,7 +156,9 @@ def state_key(state: int, n: int) -> str:
 
 def state_keys(n: int) -> list[str]:
     """state_key of every complete state, in state order."""
-    signs = np.where(_affirm_table(n), np.uint8(ord("+")), np.uint8(ord("-")))
+    # row k holds proposition k's bit of every state, 0 = affirmative
+    bits = np.indices((2,) * n, dtype=np.uint8).reshape(n, -1)
+    signs = np.where(bits == 0, np.uint8(ord("+")), np.uint8(ord("-")))
     rows = np.ascontiguousarray(signs.T).view(f"S{n}").ravel()
     return [key.decode("ascii") for key in rows.tolist()]
 
@@ -220,6 +239,11 @@ class CompleteStateTable:
         mask.setflags(write=False)
         return mask
 
+    @cached_property
+    def _open_count(self) -> int:
+        """How many complete states are not manifestly false."""
+        return self.false_mask.size - int(np.count_nonzero(self.false_mask))
+
     def flip(self, prop: int) -> "CompleteStateTable":
         """The table of the same situation with proposition `prop` replaced
         by its negation (swaps the two halves along that bit)."""
@@ -228,45 +252,34 @@ class CompleteStateTable:
         return CompleteStateTable(self.n, values)
 
 
-def _check_prop(prop: int, n: int) -> None:
-    if not 0 <= prop < n:
-        raise ValidationError(f"proposition index {prop} out of range for n={n}")
-
-
-def derive_value(prop: int, table: CompleteStateTable) -> TfuValue:
-    """Value of a single proposition from the table, by rules I and II."""
-    _check_prop(prop, table.n)
-    affirm = _affirm_table(table.n)[prop]
-    aff_all_false = table.false_mask[affirm].all()
-    neg_all_false = table.false_mask[~affirm].all()
-    if aff_all_false and neg_all_false:
-        # Unreachable through a validated table (it would be all-F);
-        # kept as a guard against hand-built inconsistent inputs.
-        raise ValidationError(
-            f"rules I and II both fire for proposition {prop}: table is inconsistent"
-        )
-    if aff_all_false:
+def _rules(table: CompleteStateTable, *fixed: tuple[int, int]) -> TfuValue:
+    """Rules I and II applied to the complete states with the given
+    (proposition, digit) pairs, digit 0 = affirmative: F when all of them
+    are manifestly false, T when every state that is not lies among them,
+    else U. The states outside are not a slab when two digits are fixed,
+    so rule II compares counts instead of reading them."""
+    inside = table.false_mask.reshape((2,) * table.n)[slab_index(table.n, *fixed)]
+    if inside.all():
         return F
-    if neg_all_false:
+    if inside.size - np.count_nonzero(inside) == table._open_count:
         return T
     return U
 
 
+def derive_value(prop: int, table: CompleteStateTable) -> TfuValue:
+    """Value of a single proposition from the table, by rules I and II."""
+    value = _rules(table, (prop, 0))
+    if value is F and table._open_count == 0:
+        # Both rules fire. Unreachable through a validated table (it would
+        # be all-F); kept as a guard against hand-built inconsistent inputs.
+        raise ValidationError(
+            f"rules I and II both fire for proposition {prop}: table is inconsistent"
+        )
+    return value
+
+
 def derived_values(table: CompleteStateTable) -> tuple[TfuValue, ...]:
     return tuple(derive_value(p, table) for p in range(table.n))
-
-
-def _cell_all_false(
-    table: CompleteStateTable, p: int, p_affirm: bool, q: int, q_affirm: bool
-) -> bool:
-    """Whether every complete state refining the polarity cell is F."""
-    return bool(table.false_mask[_cell_mask(table.n, p, p_affirm, q, q_affirm)].all())
-
-
-def _cell_mask(n: int, p: int, p_affirm: bool, q: int, q_affirm: bool) -> np.ndarray:
-    """The complete states refining the polarity cell (p, q)."""
-    affirm = _affirm_table(n)
-    return (affirm[p] == p_affirm) & (affirm[q] == q_affirm)
 
 
 def conjunction_value(
@@ -282,16 +295,10 @@ def conjunction_value(
     refining complete states are F, T when all other states are F, else U.
     This is what settles the AMBIGUOUS cell of `conjoin`.
     """
-    _check_prop(p, table.n)
-    _check_prop(q, table.n)
     if p == q:
+        check_prop(p, table.n)  # an out-of-range index is reported first
         raise ValidationError("conjunction_value needs two distinct propositions")
-    inside = _cell_mask(table.n, p, p_affirm, q, q_affirm)
-    if table.false_mask[inside].all():
-        return F
-    if table.false_mask[~inside].all():
-        return T
-    return U
+    return _rules(table, (p, 0 if p_affirm else 1), (q, 0 if q_affirm else 1))
 
 
 @dataclass(frozen=True)
@@ -335,7 +342,7 @@ def detect_nexus(table: CompleteStateTable) -> list[Implication]:
             continue
         for p_affirm in (True, False):
             for q_affirm in (True, False):
-                if _cell_all_false(table, p, p_affirm, q, q_affirm):
+                if conjunction_value(table, p, q, p_affirm, q_affirm) is F:
                     found.append(
                         Implication(
                             Literal(p, negated=not p_affirm),

@@ -26,16 +26,16 @@ Keys like "TU" name cells in files and reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classical import ClassicalDistribution
 from .errors import UndefinedConditionalError, ValidationError
+from .logic import check_prop, slab_index
 
 CELL_SYMBOLS = "TFU"
 _T, _F, _U = 0, 1, 2
-_ALL = slice(None)
 
 
 def cell_count(n: int) -> int:
@@ -62,23 +62,15 @@ def cell_from_key(key: str) -> tuple[int, int]:
     return cell, n
 
 
-def _check_prop(n: int, prop: int) -> None:
-    if not 0 <= prop < n:
-        raise ValidationError(f"proposition index {prop} out of range for n={n}")
-
-
-def _cube(m: "TfuMeasureAssignment") -> np.ndarray:
-    """The measures as an n-dimensional (3, ..., 3) view: axis k is the
-    digit of proposition k (0=T, 1=F, 2=U)."""
-    return m.measures.reshape((3,) * m.n)
-
-
 @dataclass(frozen=True, eq=False)
 class TfuMeasureAssignment:
     """Nonnegative measure over the 3^n cells; only ratios ever matter."""
 
     n: int
     measures: np.ndarray
+    # the measures as an n-dimensional (3, ..., 3) read-only view: axis k
+    # is the digit of proposition k (0=T, 1=F, 2=U)
+    cube: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -98,6 +90,7 @@ class TfuMeasureAssignment:
             raise ValidationError("total measure must be positive")
         arr.setflags(write=False)
         object.__setattr__(self, "measures", arr)
+        object.__setattr__(self, "cube", arr.reshape((3,) * self.n))
 
     @classmethod
     def from_mapping(cls, n: int, mapping: dict[str, float]) -> "TfuMeasureAssignment":
@@ -111,59 +104,24 @@ class TfuMeasureAssignment:
         return cls(n, measures)
 
 
-def _mass(cube: np.ndarray, *fixed: tuple[int, int]) -> float:
-    """Total measure of the cells with the given (axis, digit) pairs: a
-    strided slab of the cube. ravel() copies it, in ascending cell order,
-    into the contiguous array a boolean-mask gather of the same cells would
-    give, so the sum adds the same values in the same order. np.add.reduce
-    is the reduction ndarray.sum runs, without its Python wrapper."""
-    index = [_ALL] * cube.ndim
-    for axis, digit in fixed:
-        index[axis] = digit
-    return float(np.add.reduce(cube[tuple(index)].ravel()))
+def _mass(m: TfuMeasureAssignment, *fixed: tuple[int, int]) -> float:
+    """Total measure of the cells with the given (proposition, digit) pairs:
+    a slab of the cell cube. ravel() copies it into the contiguous array a
+    boolean-mask gather of the same cells would give, so the sum adds the
+    same values in the same order. np.add.reduce is the reduction
+    ndarray.sum runs, without its Python wrapper."""
+    return float(np.add.reduce(m.cube[slab_index(m.n, *fixed)].ravel()))
 
 
-@dataclass(eq=False, slots=True)
-class Decided:
-    """Where one proposition is decided, read off an assignment: its T and F
-    cells are the slabs of the cell cube with the proposition's digit fixed.
-    Every probability, conditional and gap of this module is computed here."""
-
-    prop: int
-    cube: np.ndarray
-
-    def probabilities(self) -> tuple[float, float]:
-        """(prob(p), prob(~p)): the T-mass and the F-mass relative to the
-        decided (T or F) mass. prob(~p) is what `probability` gives on the
-        assignment with T and F swapped on p."""
-        t = _mass(self.cube, (self.prop, _T))
-        f = _mass(self.cube, (self.prop, _F))
-        if t + f <= 0.0:
-            raise UndefinedConditionalError(
-                f"proposition {self.prop} is everywhere undecidable: no decided mass"
-            )
-        return t / (t + f), f / (f + t)
-
-    def probability(self) -> float:
-        """T-mass relative to the decided (T or F) mass."""
-        return self.probabilities()[0]
-
-    def given(self, p: "Decided") -> float:
-        """Probability of this proposition among the cells where p is true."""
-        if p.prop == self.prop:
-            raise ValidationError("conditional needs two distinct propositions")
-        tt = _mass(self.cube, (p.prop, _T), (self.prop, _T))
-        tf = _mass(self.cube, (p.prop, _T), (self.prop, _F))
-        if tt + tf <= 0.0:
-            raise UndefinedConditionalError(
-                f"no decided mass for proposition {self.prop} among cells where {p.prop} is true"
-            )
-        return tt / (tt + tf)
-
-
-def decided(prop: int, m: TfuMeasureAssignment) -> Decided:
-    _check_prop(m.n, prop)
-    return Decided(prop, _cube(m))
+def _decided_mass(prop: int, m: TfuMeasureAssignment) -> tuple[float, float]:
+    """(T-mass, F-mass) of a proposition; raises when both are zero."""
+    t = _mass(m, (prop, _T))
+    f = _mass(m, (prop, _F))
+    if t + f <= 0.0:
+        raise UndefinedConditionalError(
+            f"proposition {prop} is everywhere undecidable: no decided mass"
+        )
+    return t, f
 
 
 def gap(prob_p: float, q_given_p: float, prob_q: float, p_given_q: float) -> float:
@@ -173,33 +131,43 @@ def gap(prob_p: float, q_given_p: float, prob_q: float, p_given_q: float) -> flo
 
 def tfu_probability(prop: int, m: TfuMeasureAssignment) -> float:
     """T-mass of the proposition relative to its decided (T or F) mass."""
-    return decided(prop, m).probability()
+    t, f = _decided_mass(prop, m)
+    return t / (t + f)
 
 
 def tfu_conditional(q: int, p: int, m: TfuMeasureAssignment) -> float:
     """Probability of q among the cells where p is manifestly true."""
-    given = decided(p, m)
-    return decided(q, m).given(given)
+    if p == q:
+        check_prop(p, m.n)  # an out-of-range index is reported first
+        raise ValidationError("conditional needs two distinct propositions")
+    tt = _mass(m, (p, _T), (q, _T))
+    tf = _mass(m, (p, _T), (q, _F))
+    if tt + tf <= 0.0:
+        raise UndefinedConditionalError(
+            f"no decided mass for proposition {q} among cells where {p} is true"
+        )
+    return tt / (tt + tf)
 
 
 def noncommutativity_gap(p: int, q: int, m: TfuMeasureAssignment) -> float:
     """prob(p)*prob(q|p) - prob(q)*prob(p|q): zero classically, not here."""
-    dp = decided(p, m)
-    prob_p = dp.probability()
-    dq = decided(q, m)
-    q_given_p = dq.given(dp)
-    return gap(prob_p, q_given_p, dq.probability(), dp.given(dq))
+    prob_p = tfu_probability(p, m)
+    q_given_p = tfu_conditional(q, p, m)
+    return gap(prob_p, q_given_p, tfu_probability(q, m), tfu_conditional(p, q, m))
 
 
 def swap_tf(m: TfuMeasureAssignment, prop: int) -> TfuMeasureAssignment:
     """The assignment with T and F exchanged on one proposition (its negation)."""
-    _check_prop(m.n, prop)
-    return TfuMeasureAssignment(m.n, np.take(_cube(m), [_F, _T, _U], axis=prop).ravel())
+    check_prop(prop, m.n)
+    return TfuMeasureAssignment(m.n, np.take(m.cube, [_F, _T, _U], axis=prop).ravel())
 
 
 def complement_check(prop: int, m: TfuMeasureAssignment) -> tuple[float, float]:
-    """(prob(p), prob(~p)); the two always sum to one when defined."""
-    return tfu_probability(prop, m), tfu_probability(prop, swap_tf(m, prop))
+    """(prob(p), prob(~p)); the two always sum to one when defined. prob(~p)
+    is the F-mass over the decided mass, what `tfu_probability` gives on
+    `swap_tf(m, prop)`, read off the same two slabs."""
+    t, f = _decided_mass(prop, m)
+    return t / (t + f), f / (f + t)
 
 
 @dataclass(frozen=True, eq=False)

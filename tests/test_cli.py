@@ -294,6 +294,73 @@ def test_non_finite_tolerance_on_a_null_proposition_prints_one_line(capsys, tmp_
     assert err.count("\n") == 1 and "tolerance" in err
 
 
+@pytest.mark.parametrize("verb", ["eval", "search", "check"])
+def test_negative_tolerance_exits_3_before_any_work(capsys, monkeypatch, tmp_path, verb):
+    # a null classical proposition used to pass "probability > tolerance" and
+    # exit 3 with "zero vector has no direction"
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps({"version": 1, "mode": "classical", "n": 2,
+                                "probs": [0.0, 0.0, 0.5, 0.5]}))
+    ran = []
+    monkeypatch.setattr(tfuprob.checks, "run_checks", lambda *a, **k: ran.append(a))
+    argv = [verb] if verb == "check" else [verb, str(path)]
+    for value in ("-1", "-1e-300"):
+        code, out, err = run_cli(capsys, *argv, f"--tolerance={value}")
+        assert (code, out, ran) == (3, "", [])
+        assert err == f"error: --tolerance must not be negative, got {float(value)!r}\n"
+    # zero is a tolerance, and the default exit 4 of the null condition stands
+    if verb == "eval":
+        code, out, err = run_cli(capsys, "eval", str(path), "--tolerance", "0")
+        assert (code, out) == (4, "") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval"], "the following arguments are required: file"),
+        (["eval", "FILE", "--tolerance", "-inf"], "argument --tolerance: expected one argument"),
+        (["frob"], "argument command: invalid choice: 'frob'"),
+        (["eval", "FILE", "--tolerance", "x"], "argument --tolerance: invalid float value: 'x'"),
+    ],
+    ids=["missing-file", "tolerance-minus-inf", "unknown-verb", "tolerance-x"],
+)
+def test_usage_errors_exit_2_with_one_line(capsys, argv, message):
+    argv = [str(FIXTURES / "classical.json") if a == "FILE" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_still_print_and_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as stop:
+        main([flag])
+    captured = capsys.readouterr()
+    assert stop.value.code == 0 and captured.err == ""
+    assert ("usage: tfuprob" if flag == "--help" else "tfuprob 0.1.0") in captured.out
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"version": 1, "mode": "quantum", "state": [1.0, 1e308],
+          "projectors": {"P": {"type": "diagonal", "mask": [1, 0]}}},
+         "error: state norm inf is not 1 within 1e-12\n"),
+        ({"version": 1, "mode": "classical", "n": 1, "probs": [1e308, 1e308]},
+         "error: distribution sums to inf, expected 1 within 1e-12\n"),
+    ],
+    ids=["quantum-state", "classical-probs"],
+)
+def test_overflowing_inputs_print_no_numpy_warning(capsys, tmp_path, payload, message):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(payload))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "eval", str(path))
+    assert (code, out, err) == (3, "", message)
+    assert [str(w.message) for w in caught] == []
+
+
 def _documented_codes(text: str) -> set[int]:
     return {int(code) for code in re.findall(r"(?m)^\| (\d+) \|", text)}
 

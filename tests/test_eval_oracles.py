@@ -327,7 +327,10 @@ def test_tfu_functions_match_per_call_bodies():
             want = _outcome(_old_tfu_probability, p, m) if 0 <= p < n else None
             if want is not None:
                 assert _outcome(measures.tfu_probability, p, m) == want
-                assert _outcome(measures.decided(p, m).probability) == want
+                assert _outcome(lambda: measures.complement_check(p, m)[0]) == want
+                assert _outcome(lambda: measures.complement_check(p, m)[1]) == _outcome(
+                    _old_tfu_probability, p, measures.swap_tf(m, p)
+                )
             else:
                 with pytest.raises(ValidationError, match="out of range"):
                     measures.tfu_probability(p, m)

@@ -20,7 +20,6 @@ from tfuprob.logic import (
     state_from_key,
     state_key,
     state_keys,
-    _cell_all_false,
 )
 
 ALL = (T, F, U)
@@ -207,9 +206,9 @@ def test_tfu_value_parse_and_errors():
 
 
 # ---------------------------------------------------------------------------
-# reference oracles: the per-state walks that derive_value, _cell_all_false
-# and conjunction_value replaced with boolean masks; the masks must agree
-# with them exactly
+# reference oracles: the per-state walks that derive_value, detect_nexus's
+# all-false cells and conjunction_value replaced with slab reads; the reads
+# must agree with them exactly
 
 def _affirms_oracle(state, prop, n):
     return (state >> (n - 1 - prop)) & 1 == 0
@@ -261,9 +260,8 @@ def _assert_matches_oracles(table):
             assert conjunction_value(table, p, q, p_affirm, q_affirm) is _conjunction_oracle(
                 table, p, q, p_affirm, q_affirm
             )
-            assert _cell_all_false(table, p, p_affirm, q, q_affirm) is _cell_all_false_oracle(
-                table, p, p_affirm, q, q_affirm
-            )
+            all_false = conjunction_value(table, p, q, p_affirm, q_affirm) is F
+            assert all_false is _cell_all_false_oracle(table, p, p_affirm, q, q_affirm)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -308,6 +306,15 @@ def test_out_of_range_proposition_rejected(prop):
         conjunction_value(table, prop, 0 if prop != 0 else 1)
     with pytest.raises(ValidationError, match="out of range"):
         conjunction_value(table, 1, prop)
+    # an out-of-range index is reported before the repeated one
+    with pytest.raises(ValidationError, match="out of range"):
+        conjunction_value(table, prop, prop)
+
+
+def test_conjunction_value_needs_distinct_propositions():
+    table = CompleteStateTable.from_mapping(3, {"+++": "F"})
+    with pytest.raises(ValidationError, match="two distinct propositions"):
+        conjunction_value(table, 1, 1)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -11,7 +11,6 @@ from tfuprob.measures import (
     cell_from_key,
     cell_key,
     complement_check,
-    decided,
     noncommutativity_gap,
     swap_tf,
     tfu_conditional,
@@ -242,14 +241,15 @@ def test_slab_reads_match_digit_masks(n):
         m = TfuMeasureAssignment(n, w)
         for prop in range(n):
             dp = _digits_oracle(n, prop)
-            d = decided(prop, m)
             t, f = float(w[dp == 0].sum()), float(w[dp == 1].sum())
-            assert repr(d.probabilities()) == repr((t / (t + f), f / (t + f)))
+            assert repr(complement_check(prop, m)) == repr((t / (t + f), f / (t + f)))
             assert repr(tfu_probability(prop, m)) == repr(t / (t + f))
             step = 3 ** (n - 1 - prop)
             source = np.arange(3 ** n) + np.where(dp == 0, step, np.where(dp == 1, -step, 0))
-            assert _same_bits(swap_tf(m, prop).measures, w[source])
-            assert repr(complement_check(prop, m)) == repr(d.probabilities())
+            swapped = swap_tf(m, prop)
+            assert _same_bits(swapped.measures, w[source])
+            # the negation read off the F slab is the swapped assignment's probability
+            assert repr(complement_check(prop, m)[1]) == repr(tfu_probability(prop, swapped))
         for p, q in itertools.permutations(range(n), 2):
             dp, dq = _digits_oracle(n, p), _digits_oracle(n, q)
             tt = float(w[(dp == 0) & (dq == 0)].sum())
@@ -260,18 +260,25 @@ def test_slab_reads_match_digit_masks(n):
 @pytest.mark.parametrize("prop", [-1, 2, 5])
 def test_digits_reject_out_of_range_proposition(prop):
     m = TfuMeasureAssignment(2, np.ones(9))
-    for read in (decided, tfu_probability, swap_tf):
+    for read in (complement_check, tfu_probability, swap_tf):
         args = (m, prop) if read is swap_tf else (prop, m)
         with pytest.raises(ValidationError, match="out of range"):
             read(*args)
     with pytest.raises(ValidationError, match="out of range"):
         tfu_conditional(prop, 0 if prop != 0 else 1, m)
+    with pytest.raises(ValidationError, match="out of range"):
+        tfu_conditional(0 if prop != 0 else 1, prop, m)
+    # an out-of-range index is reported before the repeated one
+    with pytest.raises(ValidationError, match="out of range"):
+        tfu_conditional(prop, prop, m)
 
 
 def test_slab_reads_leave_measures_read_only():
     m = TfuMeasureAssignment(3, np.arange(27.0))
+    complement_check(1, m)
+    tfu_conditional(2, 1, m)
     with pytest.raises(ValueError):
-        decided(1, m).cube[0, 0, 0] = 2.0
+        m.cube[0, 0, 0] = 2.0
     with pytest.raises(ValueError):
         swap_tf(m, 1).measures[0] = 2.0
     assert m.measures.tolist() == list(range(27))
