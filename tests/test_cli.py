@@ -800,6 +800,207 @@ def test_large_eval_output_bytes_are_pinned(capsys, tmp_path, mode, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LARGE_SHA256[mode, fmt]
 
 
+def _wde_state(seed: int, dim: int, pairs: bool = True) -> list:
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim) + (1j * rng.standard_normal(dim) if pairs else 0)
+    v = v / np.linalg.norm(v)
+    return [[z.real, z.imag] for z in v.tolist()] if pairs else v.tolist()
+
+
+def _wde_quantum(protocol: str, state: list, **fields) -> dict:
+    return {"version": 1, "mode": "wde", "variant": "quantum", "protocol": protocol,
+            "state": state, **fields}
+
+
+_WDE_DIRECTIONS = {"a": {"theta": 0.3}, "b": {"theta": 1.1, "phi": 0.4}, "c": {"theta": 2.0}}
+_WDE_GRID = {"start": 0.0, "stop": np.pi, "step": np.pi / 4}
+_WDE_MASKS = {
+    name: {"type": "diagonal", "mask": mask}
+    for name, mask in zip("abc", ([1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]))
+}
+
+# wde quantum files at the edges of the eval and search paths: where the
+# shared protocol places its directions, which ordering a file, a flag or
+# the default picks, and which error wins when several apply.
+WDE_EDGE_FILES = {
+    "shared-3q-factor2": _wde_quantum(
+        "shared", _wde_state(1, 8), factor=2, directions=_WDE_DIRECTIONS, grid=_WDE_GRID),
+    "shared-2q-grids": _wde_quantum(
+        "shared", _wde_state(2, 4, pairs=False), factor=1, ordering="sequential",
+        directions=_WDE_DIRECTIONS,
+        grids={"a": {"start": 0.0, "stop": np.pi, "step": np.pi / 6},
+               "b": {"start": 0.5, "stop": 2.5, "step": 0.25},
+               "c": {"start": 0.0, "stop": 2 * np.pi, "step": np.pi / 3}}),
+    "shared-projectors-bad-factor": _wde_quantum(
+        "shared", [1.0, 0.0, 0.0, 0.0], factor=5, projectors=_WDE_MASKS, grid=_WDE_GRID),
+    "paired-grid-only": _wde_quantum("paired", SINGLET_STATE, grid=_WDE_GRID),
+    "shared-grid-only-bad-factor": _wde_quantum(
+        "shared", _wde_state(3, 4), factor=7, grid=_WDE_GRID),
+    "paired-no-grid": _wde_quantum("paired", SINGLET_STATE, directions=_WDE_DIRECTIONS),
+    "shared-factor-5": _wde_quantum(
+        "shared", _wde_state(4, 4), factor=5, directions=_WDE_DIRECTIONS, grid=_WDE_GRID),
+    "shared-factor-minus-1": _wde_quantum(
+        "shared", _wde_state(5, 4), factor=-1, directions=_WDE_DIRECTIONS, grid=_WDE_GRID),
+    "shared-1q": _wde_quantum("shared", [0.6, 0.8], directions=_WDE_DIRECTIONS, grid=_WDE_GRID),
+    "paired-file-sequential-factor-3": _wde_quantum(
+        "paired", SINGLET_STATE, ordering="sequential", factor=3,
+        directions=_WDE_DIRECTIONS, grid=_WDE_GRID),
+    "shared-ordering-null": _wde_quantum(
+        "shared", _wde_state(6, 4), ordering=None, factor=1,
+        directions=_WDE_DIRECTIONS, grid=_WDE_GRID),
+    "paired-random-grids": _wde_quantum(
+        "paired", _wde_state(7, 4), directions=_WDE_DIRECTIONS,
+        grids={"a": {"start": 0.0, "stop": np.pi, "step": np.pi / 5},
+               "b": {"start": 0.0, "stop": np.pi, "step": np.pi / 7},
+               "c": {"start": 1.0, "stop": 3.0, "step": 0.5}}),
+    "paired-dim8": _wde_quantum(
+        "paired", _wde_state(8, 8), directions=_WDE_DIRECTIONS, grid=_WDE_GRID),
+    "shared-directions-and-projectors": _wde_quantum(
+        "shared", _wde_state(9, 4), factor=1, directions=_WDE_DIRECTIONS,
+        projectors=_WDE_MASKS, grid=_WDE_GRID),
+}
+WDE_EDGE_FLAGS = ((), ("--ordering", "sequential"), ("--format", "table", "--ordering", "symmetrized"))
+WDE_FIXTURES = ("wde_classical.json", "wde_quantum.json", "wde_shared.json", "wde_tfu_sets.json")
+
+
+def _run_digest(capsys, *argv) -> str:
+    """sha256 of the exit code, stdout and stderr of one run."""
+    code, out, err = run_cli(capsys, *argv)
+    return hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
+
+
+# sha256 of (exit code, stdout, stderr) of every wde fixture and edge file,
+# taken before the shared protocol's direction placement moved into `wde`
+# and `cli` evaluated every mode from one table.
+GOLDEN_WDE_SHA256 = {
+    ("wde_classical.json", "eval", "structured"): "42bf28e814ce1fc62a12599e46f1c7d45f08fba1ca362bce55a4a46ea1729232",
+    ("wde_classical.json", "eval", "csv"): "c15b8ead67d6649b50ca7b3d55926bb65ca525d1fef379b30d122f39dc073692",
+    ("wde_classical.json", "eval", "table"): "d88896d92378b4e37904697742ab6c1609989080154e184014021086c4b355fb",
+    ("wde_classical.json", "search", "structured"): "72892fc901dd24e213109014134c7041bbeb47393f5bbd822ccd6bb01a3f128d",
+    ("wde_classical.json", "search", "csv"): "72892fc901dd24e213109014134c7041bbeb47393f5bbd822ccd6bb01a3f128d",
+    ("wde_classical.json", "search", "table"): "72892fc901dd24e213109014134c7041bbeb47393f5bbd822ccd6bb01a3f128d",
+    ("wde_quantum.json", "eval", "structured"): "ba293e2d065fd5f2f1740a44a89398512b97844b80b8505692245499de6c0ffd",
+    ("wde_quantum.json", "eval", "csv"): "565891c942f557a3f0ee0c6a90b9e45282e8379baaa5e3c022f278d05d79f921",
+    ("wde_quantum.json", "eval", "table"): "52a97383a7888a1e9f29ac6188007e1fe5c68ae09b453819f52edd3b4a73e40f",
+    ("wde_quantum.json", "search", "structured"): "91284c270136f6adb824b5bd9ee6bf80c9175b34d953a0643aaeebbfcd444ca5",
+    ("wde_quantum.json", "search", "csv"): "b132ccc3b28e999ae69036b15a95e0beaea4aaa3c16f958f65f2c64adad0d629",
+    ("wde_quantum.json", "search", "table"): "1b5316688f5bfbc31566eba2c7a2b63de726d2de62471f388321d1f8a63caf26",
+    ("wde_shared.json", "eval", "structured"): "faa9626e1936b8cc475245aabf46d633afcb9d85ab7c88329111760ec313eda0",
+    ("wde_shared.json", "eval", "csv"): "017fe96ee8c72f6486524c4e5d0ca2fd775f2cb83c633073c17e2d69f7a8ab93",
+    ("wde_shared.json", "eval", "table"): "eea3ea9e96e669c2e71bf75f4dd90cca7fad46046a603205afc4ac363bcc168d",
+    ("wde_shared.json", "search", "structured"): "de67c256c77023467d70ca914ca9e609d2a30b8869b8a1047a0ddfdcee2f840c",
+    ("wde_shared.json", "search", "csv"): "493d83a5a15b07304840b468f2bb05571854bb8ccd3040c3d07a8a31569952c5",
+    ("wde_shared.json", "search", "table"): "49c62b60ff3b8c34c9bc9aabf28c63a3e5175304f8cfa9c4a47dc15dc82a86d7",
+    ("wde_tfu_sets.json", "eval", "structured"): "e46f5ee1c65044ea8c94f2b4c58a8a47f63a62cd91aad6df1ebac699fd560e74",
+    ("wde_tfu_sets.json", "eval", "csv"): "b6488a7b9f3204444d80cae1da69fb17c85b16fd42584c657f78b686945656c0",
+    ("wde_tfu_sets.json", "eval", "table"): "34a5d433febc59d05ca610b7368f97ccca1dc065742a2b207a346f91f8fc00bf",
+    ("wde_tfu_sets.json", "search", "structured"): "72892fc901dd24e213109014134c7041bbeb47393f5bbd822ccd6bb01a3f128d",
+    ("wde_tfu_sets.json", "search", "csv"): "72892fc901dd24e213109014134c7041bbeb47393f5bbd822ccd6bb01a3f128d",
+    ("wde_tfu_sets.json", "search", "table"): "72892fc901dd24e213109014134c7041bbeb47393f5bbd822ccd6bb01a3f128d",
+    ("paired-dim8", "eval", 0): "de8154458363935d9bf830f41786fe4905660557e138f544e69d71e039e987a5",
+    ("paired-dim8", "eval", 1): "de8154458363935d9bf830f41786fe4905660557e138f544e69d71e039e987a5",
+    ("paired-dim8", "eval", 2): "de8154458363935d9bf830f41786fe4905660557e138f544e69d71e039e987a5",
+    ("paired-dim8", "search", 0): "842e2dab8b71f7ccb6508858aefa61cf0d1735e3963fe6ce79890242d2f0e885",
+    ("paired-dim8", "search", 1): "842e2dab8b71f7ccb6508858aefa61cf0d1735e3963fe6ce79890242d2f0e885",
+    ("paired-dim8", "search", 2): "842e2dab8b71f7ccb6508858aefa61cf0d1735e3963fe6ce79890242d2f0e885",
+    ("paired-file-sequential-factor-3", "eval", 0): "b229911430a60acce302a939fbbae71b56da8914fb39c49436d3206bcaa9bc7f",
+    ("paired-file-sequential-factor-3", "eval", 1): "b229911430a60acce302a939fbbae71b56da8914fb39c49436d3206bcaa9bc7f",
+    ("paired-file-sequential-factor-3", "eval", 2): "66f72d9a9e10f677969a9a2da5264f37807357e0e6da5f7e6b880160191cbd16",
+    ("paired-file-sequential-factor-3", "search", 0): "05dfdde2034c37d927c10f9e6531337b46b90ddfcb44aea048650263aa012f0b",
+    ("paired-file-sequential-factor-3", "search", 1): "05dfdde2034c37d927c10f9e6531337b46b90ddfcb44aea048650263aa012f0b",
+    ("paired-file-sequential-factor-3", "search", 2): "05d1bc6c9c23dbcceb712bc7acfdf29e82b79ce67c2d51a24db18bd6f34a67f4",
+    ("paired-grid-only", "eval", 0): "6cbca792175e408983f3c41765f493a087c988d12feaef1fc376d07e0f5c680e",
+    ("paired-grid-only", "eval", 1): "6cbca792175e408983f3c41765f493a087c988d12feaef1fc376d07e0f5c680e",
+    ("paired-grid-only", "eval", 2): "6cbca792175e408983f3c41765f493a087c988d12feaef1fc376d07e0f5c680e",
+    ("paired-grid-only", "search", 0): "7a019fd318b426547474543519eac29a3eac71375870a0c19fd67ac733f07e32",
+    ("paired-grid-only", "search", 1): "35a41fd294e1bd51fd509ef668be0647ded6e55fb910e7c84b684b3de4037c3f",
+    ("paired-grid-only", "search", 2): "9441dfe84524149c0e2919cd624e88aec7b269a7f3137e33b9ea91505eabfb17",
+    ("paired-no-grid", "eval", 0): "91d1479ff3bee523289837042e289e645c25f3d5c3149ce2c79c38bf3b1d16ba",
+    ("paired-no-grid", "eval", 1): "d19758c680e03dc3519418780d7204b900252af7cbc531c3866db914c1a80b12",
+    ("paired-no-grid", "eval", 2): "f42710ca1cdfc7a79555896523677aa36ab7ed1fc5a4465c4b518faa24bb72e0",
+    ("paired-no-grid", "search", 0): "7f8c81ddc0093c1644dd4f45a7065cf6e0d50976b66f2224c309177c14edc03e",
+    ("paired-no-grid", "search", 1): "7f8c81ddc0093c1644dd4f45a7065cf6e0d50976b66f2224c309177c14edc03e",
+    ("paired-no-grid", "search", 2): "7f8c81ddc0093c1644dd4f45a7065cf6e0d50976b66f2224c309177c14edc03e",
+    ("paired-random-grids", "eval", 0): "3eba67ef00006f8ba9e5883dbd2b98175ac16e667311dea39cf5825eac455149",
+    ("paired-random-grids", "eval", 1): "7f7af438f62fa9465d27adfc6b29c50d9b2d96632757e9b1d4401bfc58aa981c",
+    ("paired-random-grids", "eval", 2): "fee6876ae9a246bc110a5d3513092028e34d1825ea36706af7f08f89ae0ae0de",
+    ("paired-random-grids", "search", 0): "7bda96bbef1c0a2ec0e9327d7782fefa64c0773fd902cbcfd4ffde8f2792fd27",
+    ("paired-random-grids", "search", 1): "afa62a91e52bf1ebc9010a3f8af892fb6b416d9c4182470c9ba3da64218dccf6",
+    ("paired-random-grids", "search", 2): "45664b8e8998c2cab784dda49c2d9d31093c7c1335ea6ce616a17e672acf2a5a",
+    ("shared-1q", "eval", 0): "29a65cb0dd69ce30805371900c8000138dd3615dbc07003df216a20ada945d75",
+    ("shared-1q", "eval", 1): "356e9a6d15a18d42afb8ffb00543f1ee08a9a158e7b2ff3a05ab3c01895aec0a",
+    ("shared-1q", "eval", 2): "6f45cb9fea5126325129ff4c1eddfc11d264689798080161804720e233d3ef7b",
+    ("shared-1q", "search", 0): "e926e351ad9439fa3445c6b0de4ec8536627aba6433479e02d436227b7c72414",
+    ("shared-1q", "search", 1): "c10da58a22905c7e0fb953d53b68a58d48e30669a1e6c800aab5f14668cc09db",
+    ("shared-1q", "search", 2): "ac4a17b6d2dca977fed10b16ad2d324e9ad92f20b67ea48646673660d0318e64",
+    ("shared-2q-grids", "eval", 0): "2e3815d52547f96c8c68f02e8bf4f5f1ea761eece5e8773a6e1dd4a8c7e3f628",
+    ("shared-2q-grids", "eval", 1): "2e3815d52547f96c8c68f02e8bf4f5f1ea761eece5e8773a6e1dd4a8c7e3f628",
+    ("shared-2q-grids", "eval", 2): "65763d82d88f361c601b23d52b8c49c4e7961e752af615afe0364651a67d2518",
+    ("shared-2q-grids", "search", 0): "8570521b00ab9a96754f9397782c4d4542db0ac6d89a0a353fc2386df55eb4b9",
+    ("shared-2q-grids", "search", 1): "8570521b00ab9a96754f9397782c4d4542db0ac6d89a0a353fc2386df55eb4b9",
+    ("shared-2q-grids", "search", 2): "5770f12591ed50957acbca5344b95629030e46bc929c274b7cf252241414c8bb",
+    ("shared-3q-factor2", "eval", 0): "f6f24b9f70f808e0b36aa836dfed44f846999270339e702bcadd8bb6b9d2a02a",
+    ("shared-3q-factor2", "eval", 1): "e895bf8c2e5ddd714adbb37e7eef9253a97accfa48ba9019edeb8968b4b610b2",
+    ("shared-3q-factor2", "eval", 2): "61a49f11395a7a14c096c4d885ed8c9fbdee2bfca532e3656c848260a5df42fd",
+    ("shared-3q-factor2", "search", 0): "840406340b411a5abc29620476d0379be707d633fece9870a756b188fcf5f607",
+    ("shared-3q-factor2", "search", 1): "88bb7f37bd7e223fd42f753efe45724222d2ef7b1af7ad05b504b804737f4adf",
+    ("shared-3q-factor2", "search", 2): "91a04952c323a9d42b25938dba4dcb9aeaf95534c84494f5949c2f8b59786112",
+    ("shared-directions-and-projectors", "eval", 0): "ba9cc0236ace16c8fa472a826d7ca6d94ab577e7966f28d466af0c498cd264db",
+    ("shared-directions-and-projectors", "eval", 1): "012d1847f0320567d10da052ff50a800ee9b57c2d7d5698970ce3c20d336beac",
+    ("shared-directions-and-projectors", "eval", 2): "0aa4a3227c6b2f441f55e67798b210b3ed04dd877319a6e2f2582152772194e7",
+    ("shared-directions-and-projectors", "search", 0): "8713a25d928fe1c53840843384b6db1182fcdd952b26ed914e0f20c352f0eac3",
+    ("shared-directions-and-projectors", "search", 1): "5ffadd437ae4017ec94036bfac30039af2360a5ccc370ce5f70c8a02e81270f4",
+    ("shared-directions-and-projectors", "search", 2): "0de72ab358fd24acd0ae765474c8a0b6c7d1c3e9b3cef69f04eea15beee53d1c",
+    ("shared-factor-5", "eval", 0): "e56951c43ef45bf26e427f19fd43f19ded1cdf8245abbc6aa223594deb7eed46",
+    ("shared-factor-5", "eval", 1): "e56951c43ef45bf26e427f19fd43f19ded1cdf8245abbc6aa223594deb7eed46",
+    ("shared-factor-5", "eval", 2): "e56951c43ef45bf26e427f19fd43f19ded1cdf8245abbc6aa223594deb7eed46",
+    ("shared-factor-5", "search", 0): "e56951c43ef45bf26e427f19fd43f19ded1cdf8245abbc6aa223594deb7eed46",
+    ("shared-factor-5", "search", 1): "e56951c43ef45bf26e427f19fd43f19ded1cdf8245abbc6aa223594deb7eed46",
+    ("shared-factor-5", "search", 2): "e56951c43ef45bf26e427f19fd43f19ded1cdf8245abbc6aa223594deb7eed46",
+    ("shared-factor-minus-1", "eval", 0): "f653cd18952dd073f9f7ecdd4cec6e0ab38e3b7457d526759303e6ae13e52959",
+    ("shared-factor-minus-1", "eval", 1): "f653cd18952dd073f9f7ecdd4cec6e0ab38e3b7457d526759303e6ae13e52959",
+    ("shared-factor-minus-1", "eval", 2): "f653cd18952dd073f9f7ecdd4cec6e0ab38e3b7457d526759303e6ae13e52959",
+    ("shared-factor-minus-1", "search", 0): "f653cd18952dd073f9f7ecdd4cec6e0ab38e3b7457d526759303e6ae13e52959",
+    ("shared-factor-minus-1", "search", 1): "f653cd18952dd073f9f7ecdd4cec6e0ab38e3b7457d526759303e6ae13e52959",
+    ("shared-factor-minus-1", "search", 2): "f653cd18952dd073f9f7ecdd4cec6e0ab38e3b7457d526759303e6ae13e52959",
+    ("shared-grid-only-bad-factor", "eval", 0): "4060b6b3e5ae7db8541a1e1832b852c752822234abca30c983ba60adeb93bc7e",
+    ("shared-grid-only-bad-factor", "eval", 1): "4060b6b3e5ae7db8541a1e1832b852c752822234abca30c983ba60adeb93bc7e",
+    ("shared-grid-only-bad-factor", "eval", 2): "4060b6b3e5ae7db8541a1e1832b852c752822234abca30c983ba60adeb93bc7e",
+    ("shared-grid-only-bad-factor", "search", 0): "9a7d174f352b3a14dd59289a7f8bc30d9ddc012f37a8ec5f4bd42814e632d73f",
+    ("shared-grid-only-bad-factor", "search", 1): "9a7d174f352b3a14dd59289a7f8bc30d9ddc012f37a8ec5f4bd42814e632d73f",
+    ("shared-grid-only-bad-factor", "search", 2): "9a7d174f352b3a14dd59289a7f8bc30d9ddc012f37a8ec5f4bd42814e632d73f",
+    ("shared-ordering-null", "eval", 0): "25dee5f6ab2b72c5118831732d80cd953b800cf2b45c849ebeab561c76e115e0",
+    ("shared-ordering-null", "eval", 1): "d127783de4aeec117371e44498ed2fd702e390a51487790333ca9dbd6e894f58",
+    ("shared-ordering-null", "eval", 2): "3330a6947d95355a5b635881a048d0c3c9a34542c7f48dff8e7f030ae9eae61a",
+    ("shared-ordering-null", "search", 0): "8b7d2c9eed96f5cf8e71d6e056c16205effb1ab75c5ae0d42cc573c1aacaeb03",
+    ("shared-ordering-null", "search", 1): "67ec114c78df220a702c273eafc4c892413deea0eb2d4bcf0732475bd1e6278f",
+    ("shared-ordering-null", "search", 2): "37d847975a632d1ca84903963341cc1825968312e2cd5d5bf23cdbdcb875f1d3",
+    ("shared-projectors-bad-factor", "eval", 0): "bf9e6d8041bc7cd72c65d6694e0059f1e04daebc4515d5b66e48b697b3dea091",
+    ("shared-projectors-bad-factor", "eval", 1): "dbe25aa9b951808dc26eec31cc4ad253c6272334d2e2cda25e4bc4873ef41639",
+    ("shared-projectors-bad-factor", "eval", 2): "06cb92c1352d33b19e2d304d5ccfdfde831473592c4d2e92ccab00001cd3d843",
+    ("shared-projectors-bad-factor", "search", 0): "e56951c43ef45bf26e427f19fd43f19ded1cdf8245abbc6aa223594deb7eed46",
+    ("shared-projectors-bad-factor", "search", 1): "e56951c43ef45bf26e427f19fd43f19ded1cdf8245abbc6aa223594deb7eed46",
+    ("shared-projectors-bad-factor", "search", 2): "e56951c43ef45bf26e427f19fd43f19ded1cdf8245abbc6aa223594deb7eed46",
+}
+
+
+@pytest.mark.parametrize("name", WDE_FIXTURES)
+@pytest.mark.parametrize("verb", ["eval", "search"])
+def test_wde_fixture_output_bytes_are_pinned(capsys, name, verb):
+    got = {fmt: _run_digest(capsys, verb, str(FIXTURES / name), "--format", fmt)
+           for fmt in tfuprob.report.FORMATS}
+    assert got == {fmt: GOLDEN_WDE_SHA256[name, verb, fmt] for fmt in tfuprob.report.FORMATS}
+
+
+@pytest.mark.parametrize("name", sorted(WDE_EDGE_FILES))
+@pytest.mark.parametrize("verb", ["eval", "search"])
+def test_wde_edge_output_bytes_are_pinned(capsys, tmp_path, name, verb):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(WDE_EDGE_FILES[name]))
+    got = [_run_digest(capsys, verb, str(path), *flags) for flags in WDE_EDGE_FLAGS]
+    assert got == [GOLDEN_WDE_SHA256[name, verb, pos] for pos in range(len(WDE_EDGE_FLAGS))]
+
+
 def test_check_passes_and_is_byte_identical(capsys):
     code1, out1, _ = run_cli(capsys, "check")
     code2, out2, _ = run_cli(capsys, "check")
