@@ -10,8 +10,9 @@ Reports go to stdout in the chosen --format (structured JSON by default,
 byte-identical across runs with the same inputs and seed); errors go to
 stderr. Exit codes: 0 success, 1 property/check failure, 2 usage error or
 problem file or formula parse error, 3 validation error (a negative or
-non-finite --tolerance too), 4 undefined conditional, 5 out of memory.
-`EXIT_CODES` maps each error class to its code.
+non-finite --tolerance too), 4 undefined conditional, 5 out of memory,
+6 internal error (any other exception, reported on one line with its
+class). `EXIT_CODES` maps each error class to its code.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .errors import (
 from .logic import default_names
 from .problemfile import (
     ClassicalProblem,
-    ProblemFile,
     QuantumProblem,
     TfuMeasureProblem,
     TfuTableProblem,
@@ -50,6 +50,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_UNDEFINED = 4
 EXIT_MEMORY = 5
+EXIT_INTERNAL = 6
 
 
 def _envelope(command: str, args) -> dict:
@@ -70,7 +71,7 @@ def _labeled(label: str):
         raise UndefinedConditionalError(f'cannot evaluate "{label}": {exc}') from exc
 
 
-def _eval_tfu_table(problem: TfuTableProblem) -> dict:
+def _eval_tfu_table(problem: TfuTableProblem, args) -> dict:
     table = problem.table
     names = default_names(table.n)
     derived = logic.derived_values(table)
@@ -87,7 +88,8 @@ def _eval_tfu_table(problem: TfuTableProblem) -> dict:
     }
 
 
-def _eval_classical(problem: ClassicalProblem, tol: float) -> dict:
+def _eval_classical(problem: ClassicalProblem, args) -> dict:
+    tol = args.tolerance
     dist = problem.distribution
     n = dist.n
     names = default_names(n)
@@ -138,7 +140,7 @@ def _eval_classical(problem: ClassicalProblem, tol: float) -> dict:
     return {"propositions": propositions, "pairs": pairs}
 
 
-def _eval_tfu_measure(problem: TfuMeasureProblem) -> dict:
+def _eval_tfu_measure(problem: TfuMeasureProblem, args) -> dict:
     m = problem.assignment
     names = default_names(m.n)
     propositions = {}
@@ -164,7 +166,8 @@ def _eval_tfu_measure(problem: TfuMeasureProblem) -> dict:
     return {"propositions": propositions, "pairs": pairs}
 
 
-def _eval_quantum(problem: QuantumProblem, tol: float) -> dict:
+def _eval_quantum(problem: QuantumProblem, args) -> dict:
+    tol = args.tolerance
     state = problem.state
     names = list(problem.projectors)
     projectors = {}
@@ -196,48 +199,42 @@ def _triple_results(triple: wde.WdeTriple, tol: float) -> dict:
     }
 
 
-def _resolve_ordering(args, problem) -> str:
-    if args.ordering is not None:
-        return args.ordering
-    file_ordering = getattr(problem, "ordering", None)
-    return file_ordering if file_ordering is not None else "symmetrized"
+def _eval_wde_classical(problem: WdeClassicalProblem, args) -> dict:
+    triple = wde.wde_classical(problem.distribution)
+    return {"variant": "classical", **_triple_results(triple, args.tolerance)}
 
 
-def _wde_quantum_projectors(problem: WdeQuantumProblem):
-    """Materialize the three test descriptions for the stated protocol."""
-    if problem.protocol == "paired":
-        if problem.directions is None:
-            raise ProblemFileError("wde: paired protocol needs directions")
-        return problem.directions
-    if problem.projectors is not None:
-        return problem.projectors
-    if problem.directions is None:
-        raise ProblemFileError("wde: shared protocol needs directions or projectors")
-    m = problem.state.n_factors
-    return tuple(
-        quantum.QubitDirection(d.theta, d.phi, factor=problem.factor, n_factors=m)
-        for d in problem.directions
+def _eval_wde_tfu_sets(problem: WdeTfuSetsProblem, args) -> dict:
+    triple = wde.wde_tfu_sets(problem.population)
+    return {"variant": "tfu-sets", **_triple_results(triple, args.tolerance)}
+
+
+def _eval_wde_quantum(problem: WdeQuantumProblem, args) -> dict:
+    if problem.tests is None:
+        needs = "directions" if problem.protocol == "paired" else "directions or projectors"
+        raise ProblemFileError(f"wde: {problem.protocol} protocol needs {needs}")
+    ordering = args.ordering or problem.ordering
+    triple = wde.wde_quantum(
+        *problem.tests, problem.state, ordering, problem.protocol, problem.factor
     )
-
-
-def _eval_wde(pf: ProblemFile, args) -> dict:
-    problem = pf.problem
-    tol = args.tolerance
-    if isinstance(problem, WdeClassicalProblem):
-        triple = wde.wde_classical(problem.distribution)
-        return {"variant": "classical", **_triple_results(triple, tol)}
-    if isinstance(problem, WdeTfuSetsProblem):
-        triple = wde.wde_tfu_sets(problem.population)
-        return {"variant": "tfu-sets", **_triple_results(triple, tol)}
-    ordering = _resolve_ordering(args, problem)
-    specs = _wde_quantum_projectors(problem)
-    triple = wde.wde_quantum(*specs, problem.state, ordering, problem.protocol)
     return {
         "variant": "quantum",
         "protocol": problem.protocol,
         "ordering": ordering,
-        **_triple_results(triple, tol),
+        **_triple_results(triple, args.tolerance),
     }
+
+
+# The evaluator of each problem class: (problem, args) -> results.
+EVALUATORS = {
+    TfuTableProblem: _eval_tfu_table,
+    ClassicalProblem: _eval_classical,
+    TfuMeasureProblem: _eval_tfu_measure,
+    QuantumProblem: _eval_quantum,
+    WdeClassicalProblem: _eval_wde_classical,
+    WdeTfuSetsProblem: _eval_wde_tfu_sets,
+    WdeQuantumProblem: _eval_wde_quantum,
+}
 
 
 def cmd_eval(args) -> int:
@@ -245,19 +242,9 @@ def cmd_eval(args) -> int:
     out = _envelope("eval", args)
     out["mode"] = pf.mode
     out["input"] = pf.raw
-    problem = pf.problem
-    if isinstance(problem, TfuTableProblem):
-        out["results"] = _eval_tfu_table(problem)
-    elif isinstance(problem, ClassicalProblem):
-        out["results"] = _eval_classical(problem, args.tolerance)
-    elif isinstance(problem, TfuMeasureProblem):
-        out["results"] = _eval_tfu_measure(problem)
-    elif isinstance(problem, QuantumProblem):
-        out["results"] = _eval_quantum(problem, args.tolerance)
-    else:
-        out["results"] = _eval_wde(pf, args)
-        if "ordering" in out["results"]:
-            out["ordering"] = out["results"]["ordering"]
+    out["results"] = EVALUATORS[type(pf.problem)](pf.problem, args)
+    if "ordering" in out["results"]:
+        out["ordering"] = out["results"]["ordering"]
     sys.stdout.write(report.render(out, args.format))
     return EXIT_OK
 
@@ -279,7 +266,7 @@ def cmd_search(args) -> int:
     grids = problem.grids
     if args.grid_step is not None:
         grids = tuple(g.with_step(args.grid_step) for g in grids)
-    ordering = _resolve_ordering(args, problem)
+    ordering = args.ordering or problem.ordering
     witness = wde.search_violation(
         grids,
         problem.state,
@@ -359,7 +346,9 @@ PARSER = build_parser()
 # The exit code of each error the parser or a command may raise: an error
 # takes the code of the first class of its MRO listed here. A TfuProbError
 # outside the four families is a validation error; MemoryError means an
-# input within the size limits was still too large for this machine.
+# input within the size limits was still too large for this machine. Any
+# other exception is a defect: it still gets one stderr line and a code of
+# its own, never 1 ("a check failed") or a traceback.
 EXIT_CODES = {
     argparse.ArgumentError: EXIT_PARSE,
     ProblemFileError: EXIT_PARSE,
@@ -368,6 +357,7 @@ EXIT_CODES = {
     UndefinedConditionalError: EXIT_UNDEFINED,
     TfuProbError: EXIT_VALIDATION,
     MemoryError: EXIT_MEMORY,
+    Exception: EXIT_INTERNAL,
 }
 
 
@@ -388,11 +378,14 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(all="ignore"):
             return commands[args.command](args)
     except tuple(EXIT_CODES) as exc:
+        code = next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
         message = str(exc)
-        if isinstance(exc, MemoryError):
+        if code == EXIT_MEMORY:
             message = f"out of memory: {message}" if message else "out of memory"
+        elif code == EXIT_INTERNAL:
+            message = f"internal error ({type(exc).__name__}): {message}"
         print(f"error: {message}", file=sys.stderr)
-        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
+        return code
 
 
 if __name__ == "__main__":

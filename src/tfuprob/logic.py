@@ -229,9 +229,6 @@ class CompleteStateTable:
             values[state] = raw if isinstance(raw, TfuValue) else TfuValue.parse(str(raw))
         return cls(n, tuple(values))
 
-    def value_of(self, state: int) -> TfuValue:
-        return self.values[state]
-
     @cached_property
     def false_mask(self) -> np.ndarray:
         """Read-only bool array: which complete states are manifestly false."""

@@ -94,12 +94,17 @@ class TfuMeasureAssignment:
 
     @classmethod
     def from_mapping(cls, n: int, mapping: dict[str, float]) -> "TfuMeasureAssignment":
-        """Build from {'TU': 2.0, ...}; omitted cells carry zero measure."""
+        """Build from {'TU': 2.0, ...}; omitted cells carry zero measure.
+        Keys are read case-insensitively, so two keys may not name one cell."""
         measures = np.zeros(cell_count(n))
+        keys = {}
         for key, value in mapping.items():
             cell, kn = cell_from_key(key)
             if kn != n:
                 raise ValidationError(f"cell key {key!r} does not match n={n}")
+            if cell in keys:
+                raise ValidationError(f"cell keys {keys[cell]!r} and {key!r} name the same cell")
+            keys[cell] = key
             measures[cell] = float(value)
         return cls(n, measures)
 

@@ -18,8 +18,9 @@ The wde quantum variant takes "protocol" ("paired" or "shared"), a
 "state", and either "directions" {"a": {"theta": ...}, "b": ..., "c": ...}
 or, for the shared protocol, "projectors" {"a": spec, ...}; an optional
 "grid" {"start", "stop", "step"} (or one such object per angle under
-"grids") enables violation searches, and "ordering"/"factor" tune the
-evaluation.
+"grids") enables violation searches. "ordering" picks the pair ordering
+(default "symmetrized"), and "factor" the qubit the shared protocol's
+directions act on.
 
 Structural problems (bad JSON, missing or unknown fields) raise
 ProblemFileError; payloads that parse but violate domain invariants raise
@@ -30,13 +31,16 @@ entries is a ValidationError, raised before anything is allocated; so is
 a "state" of more than quantum.MAX_DIM amplitudes. A diagonal "mask" is a
 non-empty list of JSON 0/1 values as long as the state, and "subspace"
 vectors are as long as the state; both are checked before any projector
-is built.
+is built. A NaN or infinite number anywhere (JSON NaN and Infinity, or a
+float literal that overflows) is a ValidationError naming its field.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -53,7 +57,7 @@ from .quantum import (
     SubspaceSpan,
     projector_from_spec,
 )
-from .wde import ORDERINGS, PROTOCOLS, AngleGrid, TfuPopulation
+from .wde import DEFAULT_ORDERING, ORDERINGS, PROTOCOLS, AngleGrid, TfuPopulation
 
 VERSION = 1
 MODES = ("tfu-table", "classical", "tfu-measure", "quantum", "wde")
@@ -78,18 +82,29 @@ def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemFileError(f"{where}: expected a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ProblemFileError(
             f"{where}: integer of {value.bit_length()} bits is out of float range"
         ) from None
+    if not math.isfinite(number):
+        raise ValidationError(f"{where}: expected a finite number, got {number!r}")
+    return number
+
+
+def _finite(floats: np.ndarray, where: str) -> np.ndarray:
+    """The array itself, once no entry is NaN or infinite."""
+    finite = np.isfinite(floats)
+    if not finite.all():
+        _number(float(floats[~finite][0]), where)  # raises, naming the first one
+    return floats
 
 
 def _numbers(values: list, where: str) -> np.ndarray:
     """Float array of a list of JSON numbers, each checked as _number does."""
-    if set(map(type, values)) != {float}:  # a list of floats needs no check
-        values = [_number(v, where) for v in values]
-    return np.array(values, dtype=float)
+    if set(map(type, values)) != {float}:
+        return np.array([_number(v, where) for v in values], dtype=float)
+    return _finite(np.array(values, dtype=float), where)
 
 
 def _integer(payload: dict, key: str, default: int, where: str) -> int:
@@ -114,8 +129,8 @@ def _amplitudes(values: list, where: str) -> np.ndarray:
         set(map(type, values)) == {list}
         and set(map(len, values)) == {2}
         and set(map(type, chain.from_iterable(values))) == {float}
-    ):  # [re, im] pairs of floats need no check, and are complex128's layout
-        return np.array(values, dtype=float).view(complex)[:, 0]
+    ):  # [re, im] pairs of floats are complex128's layout
+        return _finite(np.array(values, dtype=float), where).view(complex)[:, 0]
     return np.array([_amplitude(v, where) for v in values], dtype=complex)
 
 
@@ -197,11 +212,13 @@ class WdeTfuSetsProblem:
 
 @dataclass(frozen=True)
 class WdeQuantumProblem:
+    """`tests`: the three one-qubit directions, or (shared protocol only)
+    the three projectors, or None. `ordering`: the file's, else the default."""
+
     state: ComplexStateVector
     protocol: str
-    directions: tuple[QubitDirection, QubitDirection, QubitDirection] | None
-    projectors: tuple[HermitianProjector, HermitianProjector, HermitianProjector] | None
-    ordering: str | None
+    tests: tuple[QubitDirection | HermitianProjector, ...] | None
+    ordering: str
     factor: int
     grids: tuple[AngleGrid, AngleGrid, AngleGrid] | None
 
@@ -300,6 +317,13 @@ def _parse_grid(raw, where: str) -> AngleGrid:
     )
 
 
+def _abc(payload: dict, key: str, read) -> tuple:
+    """The "a", "b" and "c" entries of the object under `key`, each read
+    as `read(raw, where)`."""
+    raw = _need(payload, key, dict, "wde")
+    return tuple(read(_need(raw, name, None, f"wde.{key}"), f"wde.{key}.{name}") for name in "abc")
+
+
 def _parse_direction(raw, where: str) -> QubitDirection:
     if not isinstance(raw, dict):
         raise ProblemFileError(f"{where}: direction must be an object with theta")
@@ -340,50 +364,32 @@ def _parse_wde(payload: dict) -> Problem:
         if protocol not in PROTOCOLS:
             raise ProblemFileError(f"wde: unknown protocol {protocol!r}")
         ordering = payload.get("ordering")
-        if ordering is not None and ordering not in ORDERINGS:
+        if ordering is None:
+            ordering = DEFAULT_ORDERING
+        elif ordering not in ORDERINGS:
             raise ProblemFileError(f"wde: unknown ordering {ordering!r}")
         factor = _integer(payload, "factor", 0, "wde")
-        directions = None
-        projectors = None
+        tests = None
         if "directions" in payload:
-            raw_dirs = _need(payload, "directions", dict, "wde")
-            directions = tuple(
-                _parse_direction(
-                    _need(raw_dirs, name, None, "wde.directions"), f"wde.directions.{name}"
-                )
-                for name in ("a", "b", "c")
-            )
+            tests = _abc(payload, "directions", _parse_direction)
         elif "projectors" in payload:
             if protocol != "shared":
                 raise ProblemFileError("wde: explicit projectors need the shared protocol")
-            raw_projs = _need(payload, "projectors", dict, "wde")
-            projectors = tuple(
-                parse_projector_spec(
-                    _need(raw_projs, name, None, "wde.projectors"),
-                    f"wde.projectors.{name}",
-                    dim=state.dim,
-                )
-                for name in ("a", "b", "c")
-            )
+            tests = _abc(payload, "projectors", partial(parse_projector_spec, dim=state.dim))
         grids = None
         if "grids" in payload:
-            raw_grids = _need(payload, "grids", dict, "wde")
-            grids = tuple(
-                _parse_grid(_need(raw_grids, name, None, "wde.grids"), f"wde.grids.{name}")
-                for name in ("a", "b", "c")
-            )
+            grids = _abc(payload, "grids", _parse_grid)
         elif "grid" in payload:
             g = _parse_grid(payload["grid"], "wde.grid")
             grids = (g, g, g)
-        if directions is None and projectors is None and grids is None:
+        if tests is None and grids is None:
             raise ProblemFileError(
                 "wde: quantum variant needs directions, projectors, or a grid"
             )
         return WdeQuantumProblem(
             state=state,
             protocol=protocol,
-            directions=directions,
-            projectors=projectors,
+            tests=tests,
             ordering=ordering,
             factor=factor,
             grids=grids,

@@ -18,8 +18,9 @@ evaluates the three terms in three regimes:
 * quantum    -- states and projectors, with two measurement protocols:
 
   - "shared": all three tests act on the same register and "not B" is the
-    literal complement I - B. Commuting (diagonal) configurations reduce
-    exactly to the classical control group.
+    literal complement I - B. A one-qubit direction acts on qubit `factor`
+    of the register, in evaluation and search alike. Commuting (diagonal)
+    configurations reduce exactly to the classical control group.
   - "paired": each pair of directions is tested on the two factors of a
     two-qubit register, first member on factor 0, second on factor 1, as
     in spin-pair experiments. For a perfectly anticorrelated state an
@@ -36,12 +37,12 @@ coincide; in the shared protocol they generally do not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
 
-from . import kernels, quantum
+from . import kernels
 from .classical import (
     ClassicalDistribution,
     DiagonalProjector,
@@ -53,16 +54,10 @@ from .classical import (
 )
 from .errors import ValidationError
 from .logic import TfuValue
-from .quantum import (
-    ComplexStateVector,
-    HermitianProjector,
-    ProjectorSpec,
-    QubitDirection,
-    projector_from_spec,
-    qubit_state,
-)
+from .quantum import ComplexStateVector, HermitianProjector, QubitDirection, projector_from_spec
 
 ORDERINGS = ("sequential", "symmetrized")
+DEFAULT_ORDERING = "symmetrized"
 PROTOCOLS = ("paired", "shared")
 HOLDS_TOL = 1e-12
 SEARCH_THRESHOLD = 1e-9
@@ -177,22 +172,26 @@ def _check_ordering(ordering: str) -> None:
         raise ValidationError(f"unknown ordering {ordering!r}: expected one of {ORDERINGS}")
 
 
-def _as_projector(spec, dim: int) -> HermitianProjector:
+def _as_projector(spec, state: ComplexStateVector, factor: int) -> HermitianProjector:
     if isinstance(spec, HermitianProjector):
-        if spec.dim != dim:
-            raise ValidationError(f"projector dim {spec.dim} does not match state dim {dim}")
+        if spec.dim != state.dim:
+            raise ValidationError(f"projector dim {spec.dim} does not match state dim {state.dim}")
         return spec
-    return projector_from_spec(spec, dim=dim)
+    if isinstance(spec, QubitDirection) and spec.n_factors == 1:
+        spec = replace(spec, factor=factor, n_factors=state.n_factors)
+    return projector_from_spec(spec, dim=state.dim)
 
 
 def wde_quantum_shared(
-    a, b, c, state: ComplexStateVector, ordering: str = "symmetrized"
+    a, b, c,
+    state: ComplexStateVector,
+    ordering: str = DEFAULT_ORDERING,
+    factor: int = 0,
 ) -> WdeTriple:
-    """All three tests on one register; "not B" is the literal I - B."""
+    """All three tests on one register; "not B" is the literal I - B. A
+    one-qubit QubitDirection (n_factors == 1) acts on qubit `factor`."""
     _check_ordering(ordering)
-    pa = _as_projector(a, state.dim)
-    pb = _as_projector(b, state.dim)
-    pc = _as_projector(c, state.dim)
+    pa, pb, pc = (_as_projector(spec, state, factor) for spec in (a, b, c))
     return WdeTriple(
         ab=_joint(pa, pb, state, ordering),
         not_b_c=_joint(pb.complement(), pc, state, ordering),
@@ -205,7 +204,7 @@ def wde_quantum_paired(
     b: QubitDirection,
     c: QubitDirection,
     state: ComplexStateVector,
-    ordering: str = "symmetrized",
+    ordering: str = DEFAULT_ORDERING,
 ) -> WdeTriple:
     """Pair-measurement protocol on a two-qubit register.
 
@@ -222,7 +221,7 @@ def wde_quantum_paired(
             raise ValidationError("paired protocol takes QubitDirection specs")
 
     def on(spec: QubitDirection, factor: int) -> HermitianProjector:
-        return projector_from_spec(QubitDirection(spec.theta, spec.phi, factor, n_factors=2))
+        return projector_from_spec(replace(spec, factor=factor, n_factors=2))
 
     a0, b0, b1, c1 = on(a, 0), on(b, 0), on(b, 1), on(c, 1)
     return WdeTriple(
@@ -235,13 +234,16 @@ def wde_quantum_paired(
 def wde_quantum(
     a, b, c,
     state: ComplexStateVector,
-    ordering: str = "symmetrized",
+    ordering: str = DEFAULT_ORDERING,
     protocol: str = "paired",
+    factor: int = 0,
 ) -> WdeTriple:
+    """The three terms under `protocol`; `factor` places the shared
+    protocol's one-qubit directions and is unused by the paired one."""
     if protocol == "paired":
         return wde_quantum_paired(a, b, c, state, ordering)
     if protocol == "shared":
-        return wde_quantum_shared(a, b, c, state, ordering)
+        return wde_quantum_shared(a, b, c, state, ordering, factor)
     raise ValidationError(f"unknown protocol {protocol!r}: expected one of {PROTOCOLS}")
 
 
@@ -351,7 +353,7 @@ def search_violation(
     grid: AngleGrid | tuple[AngleGrid, AngleGrid, AngleGrid],
     state: ComplexStateVector,
     protocol: str = "paired",
-    ordering: str = "symmetrized",
+    ordering: str = DEFAULT_ORDERING,
     threshold: float = SEARCH_THRESHOLD,
     factor: int = 0,
 ) -> ViolationWitness | None:
@@ -390,13 +392,8 @@ def search_violation(
         return None
 
     thetas = (float(th_a[i]), float(th_b[j]), float(th_c[k]))
-    if protocol == "paired":
-        specs = [QubitDirection(t) for t in thetas]
-        triple = wde_quantum_paired(*specs, state, ordering)
-    else:
-        m = state.n_factors
-        specs = [QubitDirection(t, factor=factor, n_factors=m) for t in thetas]
-        triple = wde_quantum_shared(*specs, state, ordering)
+    specs = (QubitDirection(t) for t in thetas)
+    triple = wde_quantum(*specs, state, ordering, protocol, factor)
     return ViolationWitness(
         thetas=thetas,
         triple=triple,

@@ -361,6 +361,69 @@ def test_overflowing_inputs_print_no_numpy_warning(capsys, tmp_path, payload, me
     assert [str(w.message) for w in caught] == []
 
 
+_WDE_THETAS = '"b": {"theta": 1}, "c": {"theta": 2}'
+
+
+@pytest.mark.parametrize(
+    "text, field, value",
+    [
+        pytest.param('{"version": 1, "mode": "classical", "n": 1, "probs": [NaN, 1.0]}',
+                     "classical.probs", "nan", id="classical-probs-list"),
+        pytest.param('{"version": 1, "mode": "classical", "n": 1, "probs": [1e400, 0.5]}',
+                     "classical.probs", "inf", id="classical-probs-overflow"),
+        pytest.param('{"version": 1, "mode": "classical", "n": 1, "probs": {"+": NaN}}',
+                     "classical.probs", "nan", id="classical-probs-mapping"),
+        pytest.param('{"version": 1, "mode": "wde", "variant": "classical",'
+                     ' "probs": [NaN, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]}',
+                     "wde.probs", "nan", id="wde-classical-probs"),
+        pytest.param('{"version": 1, "mode": "tfu-measure", "n": 1, "measures": [1.0, NaN, 1.0]}',
+                     "tfu-measure.measures", "nan", id="tfu-measure-list"),
+        pytest.param('{"version": 1, "mode": "tfu-measure", "n": 1, "measures": {"T": Infinity}}',
+                     "tfu-measure.measures", "inf", id="tfu-measure-mapping-infinity"),
+        pytest.param('{"version": 1, "mode": "quantum", "state": [NaN, 1.0],'
+                     ' "projectors": {"P": {"type": "diagonal", "mask": [1, 0]}}}',
+                     "quantum.state", "nan", id="quantum-state"),
+        pytest.param('{"version": 1, "mode": "quantum", "state": [[1.0, 0.0], [0.0, -Infinity]],'
+                     ' "projectors": {"P": {"type": "diagonal", "mask": [1, 0]}}}',
+                     "quantum.state", "-inf", id="quantum-state-pairs"),
+        pytest.param('{"version": 1, "mode": "quantum", "state": [1.0, 0.0], "projectors":'
+                     ' {"P": {"type": "subspace", "vectors": [[[1.0, 0.0], [NaN, 0.0]]]}}}',
+                     "quantum.projectors.P", "nan", id="subspace-vectors"),
+        pytest.param('{"version": 1, "mode": "quantum", "state": [1.0, 0.0],'
+                     ' "projectors": {"P": {"type": "qubit-direction", "theta": NaN}}}',
+                     "quantum.projectors.P", "nan", id="qubit-direction-theta"),
+        pytest.param('{"version": 1, "mode": "wde", "variant": "quantum", "protocol": "paired",'
+                     ' "state": [0.0, 0.7071067811865476, -0.7071067811865476, 0.0],'
+                     ' "directions": {"a": {"theta": NaN}, ' + _WDE_THETAS + '}}',
+                     "wde.directions.a", "nan", id="wde-direction-theta"),
+        pytest.param('{"version": 1, "mode": "wde", "variant": "quantum", "protocol": "paired",'
+                     ' "state": [0.0, 0.7071067811865476, -0.7071067811865476, 0.0],'
+                     ' "grid": {"start": 0, "stop": Infinity, "step": 1}}',
+                     "wde.grid", "inf", id="wde-grid"),
+        pytest.param('{"version": 1, "mode": "wde", "variant": "tfu-sets",'
+                     ' "items": [{"tags": "TUT", "weight": NaN}]}',
+                     "wde.items[0]", "nan", id="tfu-sets-weight"),
+    ],
+)
+def test_non_finite_numbers_exit_3_naming_their_field(capsys, tmp_path, text, field, value):
+    path = tmp_path / "non_finite.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "eval", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: {field}: expected a finite number, got {value}\n"
+
+
+@pytest.mark.parametrize(
+    "n, measures, keys",
+    [(1, {"T": 1, "t": 5, "F": 1}, "'T' and 't'"), (2, {"tU": 1, "FF": 2, "Tu": 3}, "'tU' and 'Tu'")],
+)
+def test_cell_keys_naming_one_cell_exit_3(capsys, tmp_path, n, measures, keys):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({"version": 1, "mode": "tfu-measure", "n": n, "measures": measures}))
+    code, out, err = run_cli(capsys, "eval", str(path))
+    assert (code, out, err) == (3, "", f"error: cell keys {keys} name the same cell\n")
+
+
 def _documented_codes(text: str) -> set[int]:
     return {int(code) for code in re.findall(r"(?m)^\| (\d+) \|", text)}
 
@@ -372,7 +435,7 @@ def test_exit_code_table_matches_readme_and_docstring():
     in_docstring = {int(code) for code in re.findall(r"(\d+) [a-z]", docstring)}
     cli = tfuprob.cli
     in_table = {cli.EXIT_OK, cli.EXIT_CHECK_FAILED, *cli.EXIT_CODES.values()}
-    assert _documented_codes(section) == in_docstring == in_table == {0, 1, 2, 3, 4, 5}
+    assert _documented_codes(section) == in_docstring == in_table == {0, 1, 2, 3, 4, 5, 6}
 
 
 @pytest.mark.parametrize(
@@ -1034,6 +1097,15 @@ def test_check_rejects_negative_seed_before_any_suite(capsys, monkeypatch):
     assert out == ""
     assert err.count("\n") == 1 and "seed" in err and "-1" in err
     assert ran == []
+
+
+def test_any_other_exception_exits_6_with_one_line(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("suites")
+
+    monkeypatch.setattr(tfuprob.cli, "cmd_check", broken)
+    code, out, err = run_cli(capsys, "check")
+    assert (code, out, err) == (6, "", "error: internal error (KeyError): 'suites'\n")
 
 
 def test_memory_error_has_its_own_exit_code(capsys, monkeypatch):

@@ -5,6 +5,7 @@ projections read as slabs of the state, T/F masses as slabs of the cell
 cube). Results are compared bit for bit; errors by class and text."""
 
 import json
+from argparse import Namespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from tfuprob import classical, cli, measures
 from tfuprob.errors import UndefinedConditionalError, ValidationError
 from tfuprob.logic import default_names
-from tfuprob.problemfile import loads
+from tfuprob.problemfile import ClassicalProblem, TfuMeasureProblem, loads
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +206,7 @@ def test_classical_pairs_match_per_call_loop(n):
         problem = loads(json.dumps(_classical_payload(rng, n, kind))).problem
         for tol in TOLERANCES:
             want = _outcome(_old_eval_classical, problem, tol)
-            assert _outcome(cli._eval_classical, problem, tol) == want, (kind, tol)
+            assert _outcome(cli._eval_classical, problem, Namespace(tolerance=tol)) == want, (kind, tol)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -215,7 +216,7 @@ def test_tfu_measure_pairs_match_per_call_loop(n):
         for _ in range(3):
             problem = loads(json.dumps(_tfu_measure_payload(rng, n, kind))).problem
             want = _outcome(_old_eval_tfu_measure, problem)
-            assert _outcome(cli._eval_tfu_measure, problem) == want, kind
+            assert _outcome(cli._eval_tfu_measure, problem, None) == want, kind
 
 
 def _run(capsys, argv):
@@ -238,8 +239,10 @@ def test_eval_bytes_match_per_call_loops(capsys, monkeypatch, tmp_path, fmt):
         argv = ["eval", str(path), "--format", fmt, "--tolerance", repr(tol)]
         got = _run(capsys, argv)
         with monkeypatch.context() as m:
-            m.setattr(cli, "_eval_classical", _old_eval_classical)
-            m.setattr(cli, "_eval_tfu_measure", _old_eval_tfu_measure)
+            m.setitem(cli.EVALUATORS, ClassicalProblem,
+                      lambda problem, args: _old_eval_classical(problem, args.tolerance))
+            m.setitem(cli.EVALUATORS, TfuMeasureProblem,
+                      lambda problem, args: _old_eval_tfu_measure(problem))
             want = _run(capsys, argv)
         assert got == want, (pos, tol)
         codes.add(got[0])

@@ -6,7 +6,7 @@ import pytest
 
 from tfuprob import problemfile
 from tfuprob.errors import ProblemFileError, ValidationError
-from tfuprob.quantum import MAX_DIM
+from tfuprob.quantum import MAX_DIM, QubitDirection
 from tfuprob.problemfile import (
     MAX_CELLS,
     ClassicalProblem,
@@ -210,6 +210,54 @@ def test_wde_quantum_single_grid_fans_out():
     )
     assert len(pf.problem.grids) == 3
     assert all(g == pf.problem.grids[0] for g in pf.problem.grids)
+
+
+_WDE_BASE = {"version": 1, "mode": "wde", "variant": "quantum", "protocol": "shared",
+             "state": [1.0, 0.0, 0.0, 0.0]}
+_WDE_DIRECTIONS = {"a": {"theta": 0.1}, "b": {"theta": 0.2, "phi": 0.5}, "c": {"theta": 0.3}}
+_WDE_GRID = {"start": 0, "stop": 1, "step": 1}
+
+
+def test_wde_quantum_tests_are_directions_or_shared_projectors():
+    problem = loads(json.dumps({**_WDE_BASE, "directions": _WDE_DIRECTIONS})).problem
+    assert problem.tests == (QubitDirection(0.1), QubitDirection(0.2, 0.5), QubitDirection(0.3))
+    masks = {name: {"type": "diagonal", "mask": [1, 0, 0, 1]} for name in "abc"}
+    problem = loads(json.dumps({**_WDE_BASE, "projectors": masks})).problem
+    assert [p.dim for p in problem.tests] == [4, 4, 4]
+    assert loads(json.dumps({**_WDE_BASE, "grid": _WDE_GRID})).problem.tests is None
+
+
+@pytest.mark.parametrize(
+    "fields, ordering",
+    [({}, "symmetrized"), ({"ordering": None}, "symmetrized"),
+     ({"ordering": "sequential"}, "sequential"), ({"ordering": "symmetrized"}, "symmetrized")],
+)
+def test_wde_quantum_ordering_is_always_a_name(fields, ordering):
+    payload = {**_WDE_BASE, "directions": _WDE_DIRECTIONS, **fields}
+    assert loads(json.dumps(payload)).problem.ordering == ordering
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"directions": []}, "wde: field 'directions' has type list, expected dict"),
+        ({"directions": {"a": {"theta": 0}, "c": {"theta": 0}}},
+         "wde.directions: missing required field 'b'"),
+        ({"directions": {**_WDE_DIRECTIONS, "c": {}}},
+         "wde.directions.c: missing required field 'theta'"),
+        ({"projectors": {"a": {"type": "diagonal", "mask": [1, 0, 0, 0]}}},
+         "wde.projectors: missing required field 'b'"),
+        ({"projectors": {name: {"type": "diagonal", "mask": [1, 0]} for name in "abc"}},
+         "wde.projectors.a: diagonal mask has dim 2, expected 4"),
+        ({"grids": "x"}, "wde: field 'grids' has type str, expected dict"),
+        ({"grids": {"a": _WDE_GRID, "b": _WDE_GRID}}, "wde.grids: missing required field 'c'"),
+        ({"grids": {"a": _WDE_GRID, "b": [], "c": []}}, "wde.grids.b: grid must be an object"),
+    ],
+)
+def test_wde_quantum_abc_fields_name_their_path(fields, message):
+    with pytest.raises(ProblemFileError) as excinfo:
+        loads(json.dumps({**_WDE_BASE, **fields}))
+    assert str(excinfo.value) == message
 
 
 def test_wde_quantum_unknown_protocol_and_ordering():

@@ -215,6 +215,39 @@ def test_wde_quantum_dispatch():
         wde_quantum(*specs, s, ordering="reversed")
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_shared_protocol_places_one_qubit_directions_on_factor(m):
+    # a one-qubit direction acts on qubit `factor`: exactly the triple of
+    # the same direction built for the whole register
+    rng = np.random.default_rng([43, m])
+    amps = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
+    state = ComplexStateVector(amps / np.linalg.norm(amps))
+    for f in range(m):
+        for ordering in wde.ORDERINGS:
+            angles = rng.uniform(0.0, 2 * np.pi, size=(3, 2))
+            placed = wde_quantum(
+                *(QubitDirection(t, phi) for t, phi in angles),
+                state, ordering, "shared", factor=f,
+            )
+            explicit = wde_quantum_shared(
+                *(QubitDirection(t, phi, factor=f, n_factors=m) for t, phi in angles),
+                state, ordering,
+            )
+            assert placed == explicit
+            if f == 0:
+                default = wde_quantum_shared(*(QubitDirection(t, phi) for t, phi in angles),
+                                             state, ordering)
+                assert default == explicit
+        grid = AngleGrid(0.0, np.pi, np.pi / 5)
+        witness = search_violation(grid, state, protocol="shared", factor=f)
+        assert witness.triple == wde_quantum_shared(
+            *(QubitDirection(t, factor=f, n_factors=m) for t in witness.thetas), state
+        )
+    for f in (m, m + 3, -1):
+        with pytest.raises(ValidationError, match=f"^factor {f} out of range for {m} qubits$"):
+            wde_quantum(*(QubitDirection(0.1),) * 3, state, protocol="shared", factor=f)
+
+
 def test_angle_grid_values_inclusive():
     grid = AngleGrid(0.0, np.pi / 2, np.pi / 4)
     np.testing.assert_allclose(grid.values(), [0.0, np.pi / 4, np.pi / 2], atol=1e-15)
