@@ -1064,6 +1064,25 @@ def test_wde_edge_output_bytes_are_pinned(capsys, tmp_path, name, verb):
     assert got == [GOLDEN_WDE_SHA256[name, verb, pos] for pos in range(len(WDE_EDGE_FLAGS))]
 
 
+# sha256 of stdout of `check --seed S --format F`, taken before the
+# classical engine's projectors became the mask form of HermitianProjector.
+GOLDEN_CHECK_SHA256 = {
+    ("0", "structured"): "a519b2e63cad6551ce8cfdc309933becbd341c2e75297e004cfd0ecff29df5dd",
+    ("0", "csv"): "ecadb60de2581242d61ca93776e1ca922fe7e56d160c3218a88d9b9c2394ec49",
+    ("0", "table"): "2e8b15c4dcfd84471665a8c0bec7e9e7b031f8832cfc7b2cb1f62badcb16d571",
+    ("1", "structured"): "2eaf96a0f743ffdda8178c2c29e45bffe2d689e8d8f27c9dd52ba3db605b7ff7",
+    ("1", "csv"): "cf8a174a872da8700a67e3207f30772ad55b26d3523b0efc17beef4f03153f31",
+    ("1", "table"): "60016c96a62923c63c884baa27171be1faca6ada75e8e07ff20b502b2f4b94d2",
+}
+
+
+@pytest.mark.parametrize("seed, fmt", sorted(GOLDEN_CHECK_SHA256))
+def test_check_output_bytes_are_pinned(capsys, seed, fmt):
+    code, out, err = run_cli(capsys, "check", "--seed", seed, "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CHECK_SHA256[seed, fmt]
+
+
 def test_check_passes_and_is_byte_identical(capsys):
     code1, out1, _ = run_cli(capsys, "check")
     code2, out2, _ = run_cli(capsys, "check")
