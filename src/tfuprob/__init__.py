@@ -34,7 +34,6 @@ from .logic import (
 )
 from .classical import (
     ClassicalDistribution,
-    DiagonalProjector,
     Direction,
     RealStateVector,
     and_op,

@@ -304,10 +304,9 @@ def _suite_quantum(rng, tol: float) -> dict:
         state = quantum.ComplexStateVector(vec.components.astype(complex))
         mask_p = rng.integers(2, size=1 << n).astype(bool)
         mask_q = rng.integers(2, size=1 << n).astype(bool)
-        dp = classical.DiagonalProjector(mask_p)
-        dq = classical.DiagonalProjector(mask_q)
-        qp = quantum.HermitianProjector.from_diagonal(mask_p)
-        qq = quantum.HermitianProjector.from_diagonal(mask_q)
+        # one projector per mask, read by the real and the complex arithmetic
+        p = quantum.HermitianProjector.from_diagonal(mask_p)
+        q = quantum.HermitianProjector.from_diagonal(mask_q)
         case = {
             "n": n,
             "probs": [float(x) for x in dist.probs],
@@ -315,17 +314,17 @@ def _suite_quantum(rng, tol: float) -> dict:
             "q_mask": [int(x) for x in mask_q],
         }
         s.check(
-            abs(quantum.born(qp, state) - classical.probability(dp, vec)) <= tol,
+            abs(quantum.born(p, state) - classical.probability(p, vec)) <= tol,
             property="diagonal-sector-probability", **case,
         )
-        s.check(abs(quantum.commutator_norm(qp, qq)) <= tol,
+        s.check(abs(quantum.commutator_norm(p, q)) <= tol,
                 property="diagonal-sector-commutes", **case)
-        s.check(abs(quantum.product_asymmetry(qp, qq, state)) <= tol,
+        s.check(abs(quantum.product_asymmetry(p, q, state)) <= tol,
                 property="diagonal-sector-symmetric", **case)
-        if classical.probability(dp, vec) > 1e-6:
+        if classical.probability(p, vec) > 1e-6:
             s.check(
-                abs(quantum.sequential_conditional(qq, qp, state)
-                    - classical.conditional(dq, dp, vec)) <= tol,
+                abs(quantum.sequential_conditional(q, p, state)
+                    - classical.conditional(q, p, vec)) <= tol,
                 property="diagonal-sector-conditional", **case,
             )
     return s.report()
@@ -384,13 +383,12 @@ def _suite_wde(rng, tol: float) -> dict:
         projs = [quantum.HermitianProjector.from_diagonal(m) for m in masks]
         got = wde.wde_quantum_shared(*projs, state, ordering="sequential")
         vec = classical.build_state_vector(dist)
-        dps = [classical.DiagonalProjector(m) for m in masks]
         want = wde.WdeTriple(
-            ab=classical.probability(classical.and_op(dps[0], dps[1]), vec),
+            ab=classical.probability(classical.and_op(projs[0], projs[1]), vec),
             not_b_c=classical.probability(
-                classical.and_op(classical.negation_op(dps[1]), dps[2]), vec
+                classical.and_op(classical.negation_op(projs[1]), projs[2]), vec
             ),
-            ac=classical.probability(classical.and_op(dps[0], dps[2]), vec),
+            ac=classical.probability(classical.and_op(projs[0], projs[2]), vec),
         )
         ok = (
             abs(got.ab - want.ab) <= tol

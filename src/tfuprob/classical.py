@@ -10,6 +10,11 @@ squared cosines between one-dimensional directions, which is what makes
 the later complex-vector generalization a change of field rather than a
 change of formalism.
 
+The projector type is the complex engine's own: a proposition is a
+`quantum.HermitianProjector` in mask form, and this module reads its bool
+`mask` against a real vector. A dense projector, or one of another
+dimension, is a ValidationError here.
+
 Everything here commutes; the point of the module is that the identities
 it satisfies are exactly the ones put at risk when the projectors stop
 being diagonal.
@@ -25,6 +30,7 @@ from .errors import UndefinedConditionalError, ValidationError
 from . import formulas
 from .formulas import Formula
 from .logic import slab_index, state_from_key, state_count
+from .quantum import HermitianProjector
 
 IDENTITY_TOL = 1e-12
 
@@ -107,76 +113,51 @@ def build_state_vector(dist: ClassicalDistribution) -> RealStateVector:
     return RealStateVector(np.sqrt(dist.probs))
 
 
-@dataclass(frozen=True, eq=False)
-class DiagonalProjector:
-    """0/1 diagonal projector; idempotent and symmetric by construction."""
-
-    mask: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.mask)
-        if arr.dtype != np.bool_:
-            if not np.all((arr == 0) | (arr == 1)):
-                raise ValidationError("projector mask entries must be 0 or 1")
-            arr = arr.astype(bool)
-        else:
-            arr = arr.copy()
-        if arr.ndim != 1:
-            raise ValidationError("projector mask must be one-dimensional")
-        _as_pow2(arr.size, "projector mask")
-        arr.setflags(write=False)
-        object.__setattr__(self, "mask", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.mask.size
-
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.mask.astype(float))
+def _mask(p: HermitianProjector, dim: int | None = None) -> np.ndarray:
+    """The bool diagonal of a mask projector, checked against `dim`."""
+    mask = p.mask
+    if mask is None:
+        raise ValidationError(
+            f"the classical engine needs a diagonal mask projector, got a dense dim-{p.dim} one"
+        )
+    if dim is not None and mask.size != dim:
+        raise ValidationError(f"projector dimensions differ: dim {mask.size} does not match {dim}")
+    return mask
 
 
-def _same_dim(a: DiagonalProjector, b: DiagonalProjector) -> None:
-    if a.dim != b.dim:
-        raise ValidationError(f"projector dimensions differ: {a.dim} vs {b.dim}")
-
-
-def projector_for(target: int | str | Formula, n: int) -> DiagonalProjector:
+def projector_for(target: int | str | Formula, n: int) -> HermitianProjector:
     """Projector of a proposition index, a formula string, or a parsed formula."""
     if isinstance(target, (int, np.integer)):
         target = formulas.Var(int(target))
     elif isinstance(target, str):
         target = formulas.parse(target, n)
-    return DiagonalProjector(formulas.truth_mask(target, n))
+    return HermitianProjector.from_diagonal(formulas.truth_mask(target, n))
 
 
-def negation_op(p: DiagonalProjector) -> DiagonalProjector:
-    return DiagonalProjector(~p.mask)
+def negation_op(p: HermitianProjector) -> HermitianProjector:
+    return HermitianProjector.from_diagonal(~_mask(p))
 
 
-def and_op(p: DiagonalProjector, q: DiagonalProjector) -> DiagonalProjector:
-    _same_dim(p, q)
-    return DiagonalProjector(p.mask & q.mask)
+def and_op(p: HermitianProjector, q: HermitianProjector) -> HermitianProjector:
+    mask = _mask(p)
+    return HermitianProjector.from_diagonal(mask & _mask(q, mask.size))
 
 
-def or_op(p: DiagonalProjector, q: DiagonalProjector) -> DiagonalProjector:
+def or_op(p: HermitianProjector, q: HermitianProjector) -> HermitianProjector:
     # P + Q - PQ, which for 0/1 diagonals is the entrywise union
-    _same_dim(p, q)
-    return DiagonalProjector(p.mask | q.mask)
+    mask = _mask(p)
+    return HermitianProjector.from_diagonal(mask | _mask(q, mask.size))
 
 
-def probability(p: DiagonalProjector, s: RealStateVector) -> float:
+def probability(p: HermitianProjector, s: RealStateVector) -> float:
     """Squared length of the projection: <s|P|s>. Always in [0, 1]."""
-    if p.dim != s.components.size:
-        raise ValidationError(
-            f"projector dim {p.dim} does not match state dim {s.components.size}"
-        )
-    value = float(np.dot(s.components[p.mask], s.components[p.mask]))
-    return min(value, 1.0)
+    kept = s.components[_mask(p, s.components.size)]
+    return min(float(np.dot(kept, kept)), 1.0)
 
 
 def conditional(
-    q: DiagonalProjector,
-    p: DiagonalProjector,
+    q: HermitianProjector,
+    p: HermitianProjector,
     s: RealStateVector,
     tol: float = IDENTITY_TOL,
 ) -> float:
@@ -186,7 +167,6 @@ def conditional(
     no normalized projection. Equality with |p&q|/|p| is a theorem here,
     not the implementation; the test suite checks the two routes agree.
     """
-    _same_dim(p, q)
     return project(p, s).conditional(q, tol)
 
 
@@ -226,18 +206,17 @@ class Projection:
     weight: float
     unit: np.ndarray | None
 
-    def conditional(self, q: DiagonalProjector | int, tol: float = IDENTITY_TOL) -> float:
-        """Probability of q, a projector or a proposition index, on the
+    def conditional(self, q: HermitianProjector | int, tol: float = IDENTITY_TOL) -> float:
+        """Probability of q, a mask projector or a proposition index, on the
         renormalized projection; see `conditional`."""
-        if isinstance(q, DiagonalProjector) and q.dim != self.vector.size:
-            raise ValidationError(f"projector dimensions differ: {self.vector.size} vs {q.dim}")
+        mask = _mask(q, self.vector.size) if isinstance(q, HermitianProjector) else None
         if self.weight <= tol:
             raise UndefinedConditionalError(
                 f"cannot condition: the condition has probability {self.weight!r} <= {tol}"
             )
         # a null projection gets here only with a negative or NaN tol: 0/0
         unit = self.unit if self.unit is not None else self.vector / np.sqrt(self.weight)
-        kept = unit[q.mask] if isinstance(q, DiagonalProjector) else affirmed(unit, q)
+        kept = unit[mask] if mask is not None else affirmed(unit, q)
         return min(float(np.dot(kept, kept)), 1.0)
 
     def direction(self) -> Direction:
@@ -249,10 +228,8 @@ class Projection:
         return direction
 
 
-def project(p: DiagonalProjector, s: RealStateVector) -> Projection:
-    if p.dim != s.components.size:
-        raise ValidationError("projector and state dimensions differ")
-    return _projection(np.where(p.mask, s.components, 0.0))
+def project(p: HermitianProjector, s: RealStateVector) -> Projection:
+    return _projection(np.where(_mask(p, s.components.size), s.components, 0.0))
 
 
 def _projection(vector: np.ndarray) -> Projection:
@@ -288,7 +265,7 @@ def project_affirmed(s: RealStateVector, *props: int) -> Projection:
     return _projection(vector)
 
 
-def projected_direction(p: DiagonalProjector, s: RealStateVector) -> Direction:
+def projected_direction(p: HermitianProjector, s: RealStateVector) -> Direction:
     """Direction of P|s>; raises when the projection is null."""
     return project(p, s).direction()
 

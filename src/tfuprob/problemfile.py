@@ -32,7 +32,8 @@ a "state" of more than quantum.MAX_DIM amplitudes. A diagonal "mask" is a
 non-empty list of JSON 0/1 values as long as the state, and "subspace"
 vectors are as long as the state; both are checked before any projector
 is built. A NaN or infinite number anywhere (JSON NaN and Infinity, or a
-float literal that overflows) is a ValidationError naming its field.
+float literal that overflows) is a ValidationError naming its field. A key
+that repeats within one JSON object is a ProblemFileError.
 """
 
 from __future__ import annotations
@@ -406,9 +407,21 @@ _PARSERS = {
 }
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose key repeats is an error, not its last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ProblemFileError(f"repeated key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
+
+
 def loads(text: str) -> ProblemFile:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, an integer literal over the str-to-int digit
         # limit, or nesting deeper than the decoder's recursion limit

@@ -11,8 +11,11 @@ shows for undecidable propositions.
 A projector takes one of three forms, fixed by how it was built:
 
 * a diagonal mask (`from_diagonal`, `identity`, the complement of a mask),
-  kept as a 0/1 vector and applied as one: P s keeps the masked entries.
-  Two masks commute exactly. The dense matrix is built only on request;
+  kept as a 0/1 vector, read as `mask` and applied as one: P s keeps the
+  masked entries. Two masks commute exactly. The dense matrix is built
+  only on request. This is also the classical engine's projector: a
+  proposition's truth mask over the complete states, applied to real
+  square-root vectors;
 * a qubit direction (`projector_from_spec`), a 2x2 block placed on its
   factor of a dense matrix in one step and applied as `matrix @ s`;
 * a subspace span, the dense `B^T B^*` of an orthonormalized basis B.
@@ -74,8 +77,9 @@ class HermitianProjector:
 
     `HermitianProjector(matrix)` validates the caller's matrix. The
     classmethods and `complement` build a diagonal mask or a trusted dense
-    matrix without that d^3 check; `matrix` is the dense form, built on
-    first use for a mask, and `apply` computes P s in either form.
+    matrix without that d^3 check; `mask` is the read-only bool diagonal of
+    a mask projector (None for a dense one), `matrix` is the dense form,
+    built on first use for a mask, and `apply` computes P s in either form.
     """
 
     __slots__ = ("_matrix", "_mask")
@@ -110,6 +114,11 @@ class HermitianProjector:
         return self._mask.size if self._mask is not None else self._matrix.shape[0]
 
     @property
+    def mask(self) -> np.ndarray | None:
+        """The read-only bool diagonal, or None for a dense projector."""
+        return self._mask
+
+    @property
     def matrix(self) -> np.ndarray:
         """The dense, read-only d x d matrix."""
         if self._matrix is None:
@@ -134,9 +143,9 @@ class HermitianProjector:
         mask = np.asarray(mask)
         if mask.ndim != 1 or mask.size == 0:
             raise ValidationError("diagonal projector needs a non-empty one-dimensional mask")
-        if not np.all((mask == 0) | (mask == 1)):
+        if mask.dtype != np.bool_ and not np.all((mask == 0) | (mask == 1)):
             raise ValidationError("diagonal projector entries must be 0 or 1")
-        return cls._trusted(mask=mask.astype(bool))
+        return cls._trusted(mask=mask.astype(bool))  # a copy, even of a bool mask
 
     def complement(self) -> "HermitianProjector":
         if self._mask is not None:
@@ -301,12 +310,12 @@ def commutator_norm(p: HermitianProjector, q: HermitianProjector) -> float:
     """Largest entry of |PQ - QP|; zero exactly for compatible tests."""
     if p.dim != q.dim:
         raise ValidationError("projector dimensions differ")
-    if p._mask is not None and q._mask is not None:
+    if p.mask is not None and q.mask is not None:
         return 0.0  # diagonal masks commute exactly
-    if p._mask is not None or q._mask is not None:
+    if p.mask is not None or q.mask is not None:
         # diag(m) M - M diag(m) has entries (m_i - m_j) M_ij: |M_ij| where
         # the mask differs between row and column, exact zeros elsewhere
-        mask, dense = (p._mask, q._matrix) if p._mask is not None else (q._mask, p._matrix)
+        mask, dense = (p.mask, q.matrix) if p.mask is not None else (q.mask, p.matrix)
         return float(max(
             np.max(np.abs(dense[np.ix_(mask, ~mask)]), initial=0.0),
             np.max(np.abs(dense[np.ix_(~mask, mask)]), initial=0.0),

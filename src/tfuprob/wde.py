@@ -45,7 +45,6 @@ import numpy as np
 from . import kernels
 from .classical import (
     ClassicalDistribution,
-    DiagonalProjector,
     and_op,
     build_state_vector,
     negation_op,
@@ -88,7 +87,7 @@ class WdeTriple:
 
 
 @cache
-def _classical_terms() -> tuple[DiagonalProjector, DiagonalProjector, DiagonalProjector]:
+def _classical_terms() -> tuple[HermitianProjector, HermitianProjector, HermitianProjector]:
     """A and B, not B and C, A and C over the 8 states of three propositions."""
     a, b, c = (projector_for(i, 3) for i in range(3))
     return and_op(a, b), and_op(negation_op(b), c), and_op(a, c)

@@ -325,16 +325,13 @@ def test_criterion_8_commuting_sector_equivalence():
             mask_q = rng.integers(0, 2, size=dim).astype(bool)
             if not mask_p.any():
                 mask_p[int(rng.integers(dim))] = True
-            from tfuprob.classical import DiagonalProjector
-
-            p = DiagonalProjector(mask_p)
-            q = DiagonalProjector(mask_q)
-            hp = HermitianProjector.from_diagonal(mask_p)
-            hq = HermitianProjector.from_diagonal(mask_q)
-            assert abs(born(hp, qvec) - probability(p, cvec)) <= TOL
-            assert abs(born(hq, qvec) - probability(q, cvec)) <= TOL
+            # one projector per mask, read by both engines
+            p = HermitianProjector.from_diagonal(mask_p)
+            q = HermitianProjector.from_diagonal(mask_q)
+            assert abs(born(p, qvec) - probability(p, cvec)) <= TOL
+            assert abs(born(q, qvec) - probability(q, cvec)) <= TOL
             assert abs(
-                sequential_conditional(hq, hp, qvec) - conditional(q, p, cvec)
+                sequential_conditional(q, p, qvec) - conditional(q, p, cvec)
             ) <= TOL
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"equivalence scan took {elapsed:.2f}s"

@@ -10,12 +10,14 @@ from tfuprob.classical import (
     negation_op,
     or_op,
     probability,
+    project,
     projected_direction,
     projector_for,
     state_direction,
 )
 from tfuprob.errors import UndefinedConditionalError, ValidationError
 from tfuprob.formulas import parse, truth_mask
+from tfuprob.quantum import HermitianProjector, QubitDirection, SubspaceSpan, projector_from_spec
 
 
 def _random_distribution(rng, n):
@@ -63,7 +65,7 @@ def test_projector_diagonal_matches_truth_mask():
     formula = parse("p & ~q", 2)
     proj = projector_for(formula, 2)
     np.testing.assert_array_equal(proj.mask, truth_mask(formula, 2))
-    np.testing.assert_array_equal(proj.as_matrix(), np.diag([0.0, 1.0, 0.0, 0.0]))
+    np.testing.assert_array_equal(proj.matrix, np.diag([0.0, 1.0, 0.0, 0.0]))
 
 
 def test_probability_is_quadratic_form():
@@ -72,7 +74,7 @@ def test_probability_is_quadratic_form():
     dist = _random_distribution(rng, 3)
     vec = build_state_vector(dist)
     proj = projector_for("p | (q & ~r)", 3)
-    direct = float(vec.components @ proj.as_matrix() @ vec.components)
+    direct = float((vec.components @ proj.matrix @ vec.components).real)
     assert abs(probability(proj, vec) - direct) < 1e-12
 
 
@@ -155,3 +157,38 @@ def test_projector_dimension_mismatch():
     vec = build_state_vector(ClassicalDistribution.uniform(2))
     with pytest.raises(ValidationError, match="does not match"):
         probability(projector_for("p", 3), vec)
+
+
+def test_propositions_are_mask_form_hermitian_projectors():
+    p, q = projector_for("p", 2), projector_for("q", 2)
+    for proj in (p, negation_op(p), and_op(p, q), or_op(p, q)):
+        assert isinstance(proj, HermitianProjector)
+        assert proj.mask is not None and proj.mask.dtype == bool
+        with pytest.raises(ValueError):
+            proj.mask[0] = not proj.mask[0]
+    np.testing.assert_array_equal(or_op(p, q).mask, [True, True, True, False])
+
+
+_DENSE = {
+    "qubit-direction": projector_from_spec(QubitDirection(0.7, factor=1, n_factors=2)),
+    "span": projector_from_spec(SubspaceSpan(np.array([[1.0, 1.0, 0.0, 0.0]])), dim=4),
+}
+_CALLS = {
+    "probability": lambda d, m, s: probability(d, s),
+    "project": lambda d, m, s: project(d, s),
+    "conditional-on-dense": lambda d, m, s: conditional(m, d, s),
+    "conditional-of-dense": lambda d, m, s: conditional(d, m, s),
+    "and_op": lambda d, m, s: and_op(m, d),
+    "or_op": lambda d, m, s: or_op(d, m),
+    "negation_op": lambda d, m, s: negation_op(d),
+    "Projection.conditional": lambda d, m, s: project(m, s).conditional(d),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_CALLS))
+@pytest.mark.parametrize("kind", sorted(_DENSE))
+def test_dense_projector_is_a_validation_error(call, kind):
+    # the classical engine reads a diagonal mask; a dense projector has none
+    s = build_state_vector(ClassicalDistribution.uniform(2))
+    with pytest.raises(ValidationError, match="diagonal mask"):
+        _CALLS[call](_DENSE[kind], projector_for("p", 2), s)

@@ -424,6 +424,34 @@ def test_cell_keys_naming_one_cell_exit_3(capsys, tmp_path, n, measures, keys):
     assert (code, out, err) == (3, "", f"error: cell keys {keys} name the same cell\n")
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        pytest.param('{"version": 1, "mode": "classical", "n": 1, "n": 1, "probs": [0.5, 0.5]}',
+                     "n", id="top-level"),
+        pytest.param('{"version": 1, "mode": "tfu-table", "n": 1,'
+                     ' "values": {"+": "T", "+": "T", "-": "F"}}', "+", id="tfu-table-values"),
+        pytest.param('{"version": 1, "mode": "classical", "n": 1,'
+                     ' "probs": {"+": 0.5, "+": 0.5, "-": 0.5}}', "+", id="classical-probs"),
+        pytest.param('{"version": 1, "mode": "tfu-measure", "n": 1,'
+                     ' "measures": {"T": 1, "T": 5, "F": 1}}', "T", id="tfu-measure-measures"),
+        pytest.param('{"version": 1, "mode": "quantum", "state": [1.0, 0.0], "projectors":'
+                     ' {"P": {"type": "diagonal", "mask": [1, 0]},'
+                     ' "P": {"type": "diagonal", "mask": [0, 1]}}}', "P", id="quantum-projectors"),
+        pytest.param('{"version": 1, "mode": "wde", "variant": "quantum", "protocol": "paired",'
+                     ' "state": [0.0, 0.7071067811865476, -0.7071067811865476, 0.0],'
+                     ' "directions": {"a": {"theta": 0.0}, "b": {"theta": 0.5},'
+                     ' "b": {"theta": 0.7}, "c": {"theta": 1.0}}}', "b", id="wde-directions"),
+    ],
+)
+def test_repeated_keys_exit_2_naming_the_key(capsys, tmp_path, text, key):
+    # json.loads alone keeps the last value of a repeated key
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "eval", str(path))
+    assert (code, out, err) == (2, "", f"error: repeated key {key!r} in a JSON object\n")
+
+
 def _documented_codes(text: str) -> set[int]:
     return {int(code) for code in re.findall(r"(?m)^\| (\d+) \|", text)}
 
@@ -436,6 +464,17 @@ def test_exit_code_table_matches_readme_and_docstring():
     cli = tfuprob.cli
     in_table = {cli.EXIT_OK, cli.EXIT_CHECK_FAILED, *cli.EXIT_CODES.values()}
     assert _documented_codes(section) == in_docstring == in_table == {0, 1, 2, 3, 4, 5, 6}
+
+
+def test_readme_library_use_block_runs_and_prints_its_values():
+    readme = (FIXTURES.parent / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
+    exec(block, ns)
+    assert ns["probability"](ns["p"], ns["vec"]) == 0.5
+    assert abs(ns["conditional"](ns["q"], ns["p"], ns["vec"]) - 0.5) <= 1e-12
+    assert ns["witness"].thetas == (0.0, np.pi / 4, np.pi / 2)
+    assert abs(ns["witness"].magnitude - 0.10355339059327376) <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from tfuprob import classical, cli, measures
 from tfuprob.errors import UndefinedConditionalError, ValidationError
 from tfuprob.logic import default_names
 from tfuprob.problemfile import ClassicalProblem, TfuMeasureProblem, loads
+from tfuprob.quantum import HermitianProjector
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +294,14 @@ def test_slab_reads_are_the_mask_gathers(n):
             mask = np.logical_and.reduce([masks[k] for k in props])
             assert classical.affirmed(s.components, *props).tobytes() == s.components[mask].tobytes()
             got = classical.project_affirmed(s, *props)
-            want = classical.project(classical.DiagonalProjector(mask), s)
+            want = classical.project(HermitianProjector.from_diagonal(mask), s)
             assert got.vector.tobytes() == want.vector.tobytes()
             assert repr(got.weight) == repr(want.weight)
             assert _outcome(lambda: got.direction().unit.tobytes()) == _outcome(
                 lambda: want.direction().unit.tobytes()
             )
             for q in range(n):
-                q_mask = classical.DiagonalProjector(masks[q])
+                q_mask = HermitianProjector.from_diagonal(masks[q])
                 for tol in (1e-12, 0.3, -1.0):
                     with np.errstate(invalid="ignore"):  # 0/0 on a null condition with tol < 0
                         assert _outcome(got.conditional, q, tol) == _outcome(

@@ -416,6 +416,18 @@ def test_dense_complement_matches_identity_minus_matrix():
         assert _exactly_equal(p.complement().matrix, np.eye(1 << n, dtype=complex) - p.matrix)
 
 
+def test_mask_is_a_read_only_copy_and_none_when_dense():
+    given = np.array([True, False, True, True])
+    p = HermitianProjector.from_diagonal(given)
+    given[0] = False
+    assert p.mask.tolist() == [True, False, True, True]
+    with pytest.raises(ValueError):
+        p.mask[1] = True
+    assert p.complement().mask.tolist() == [False, True, False, False]
+    assert projector_from_spec(QubitDirection(0.3)).mask is None
+    assert HermitianProjector(np.eye(2)).mask is None
+
+
 @pytest.mark.parametrize("mask", [[], [[1, 0], [0, 1]], np.ones((2, 2)), [1, 2], [0.5, 1]])
 def test_from_diagonal_rejects_bad_masks(mask):
     with pytest.raises(ValidationError):
