@@ -902,6 +902,51 @@ def test_large_eval_output_bytes_are_pinned(capsys, tmp_path, mode, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LARGE_SHA256[mode, fmt]
 
 
+def _quantum_scale_payload(dim: int) -> dict:
+    """A quantum file at dim 256 or 1024: a complex state, a qubit direction
+    with phi != 0, a mask, a rank-4 span given as [re, im] pairs and a
+    rank-64 span given as plain real floats."""
+    rng = np.random.default_rng(dim)
+
+    def pairs(rows):
+        return [[[z.real, z.imag] for z in row] for row in rows.tolist()]
+
+    state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    state /= np.linalg.norm(state)
+    return {
+        "version": 1, "mode": "quantum",
+        "state": pairs(state[None, :])[0],
+        "projectors": {
+            "M": {"type": "diagonal", "mask": rng.integers(2, size=dim).tolist()},
+            "D": {"type": "qubit-direction", "theta": 1.3, "phi": 0.9,
+                  "factor": 2, "n_factors": dim.bit_length() - 1},
+            "S": {"type": "subspace",
+                  "vectors": pairs(rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim)))},
+            "R": {"type": "subspace", "vectors": rng.standard_normal((64, dim)).tolist()},
+        },
+    }
+
+
+# sha256 of stdout for quantum evals at dim 256 (every format) and 1024
+# (structured: one run there costs over a second of CPU), taken before
+# plain real amplitude lists were read in bulk.
+GOLDEN_QUANTUM_SCALE_SHA256 = {
+    (256, "structured"): "d7df15f5013173cee1a65d8e2bd634e923340b0d440a15aab8cf0e759d4cd0b2",
+    (256, "csv"): "9fa1a6178d3640c00c8410a7903deae2b3fb23f91f884d5dd764f913c417cdc1",
+    (256, "table"): "6f286d941e108e3ab4997c64364729ab11259f8c9c92c8b7c8f2bf89483b87bc",
+    (1024, "structured"): "5446f99247968d19ec5a572a77d450aa7baa67d311122f0db7dd0da5dd3bf5a0",
+}
+
+
+@pytest.mark.parametrize("dim, fmt", sorted(GOLDEN_QUANTUM_SCALE_SHA256))
+def test_quantum_scale_eval_output_bytes_are_pinned(capsys, tmp_path, dim, fmt):
+    path = tmp_path / "scale.json"
+    path.write_text(json.dumps(_quantum_scale_payload(dim)))
+    code, out, err = run_cli(capsys, "eval", str(path), "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_QUANTUM_SCALE_SHA256[dim, fmt]
+
+
 def _wde_state(seed: int, dim: int, pairs: bool = True) -> list:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + (1j * rng.standard_normal(dim) if pairs else 0)
