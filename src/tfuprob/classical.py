@@ -53,13 +53,12 @@ class ClassicalDistribution:
         if arr.ndim != 1:
             raise ValidationError("distribution must be one-dimensional")
         _as_pow2(arr.size, "distribution")
-        if np.any(arr < 0):
-            bad = int(np.argmin(arr))
-            raise ValidationError(
-                f"distribution entry {bad} is negative ({arr[bad]!r})"
-            )
+        if not (arr >= 0).all():
+            bad = int(np.argmin(arr))  # the first NaN, if there is one
+            kind = "negative" if arr[bad] < 0 else "NaN"
+            raise ValidationError(f"distribution entry {bad} is {kind} ({arr[bad]!r})")
         total = float(arr.sum())
-        if abs(total - 1.0) > IDENTITY_TOL:
+        if not abs(total - 1.0) <= IDENTITY_TOL:
             raise ValidationError(
                 f"distribution sums to {total!r}, expected 1 within {IDENTITY_TOL}"
             )
@@ -99,7 +98,7 @@ class RealStateVector:
             raise ValidationError("state vector must be one-dimensional")
         _as_pow2(arr.size, "state vector")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > IDENTITY_TOL:
+        if not abs(norm - 1.0) <= IDENTITY_TOL:
             raise ValidationError(f"state vector norm {norm!r} is not 1 within {IDENTITY_TOL}")
         arr.setflags(write=False)
         object.__setattr__(self, "components", arr)
@@ -126,10 +125,14 @@ def _mask(p: HermitianProjector, dim: int | None = None) -> np.ndarray:
 
 
 def projector_for(target: int | str | Formula, n: int) -> HermitianProjector:
-    """Projector of a proposition index, a formula string, or a parsed formula."""
+    """Projector of a proposition index, a formula string, or a parsed formula.
+    A proposition's states are the slab where its digit is affirmative."""
     if isinstance(target, (int, np.integer)):
-        target = formulas.Var(int(target))
-    elif isinstance(target, str):
+        slab = slab_index(n, (int(target), 0))
+        mask = np.zeros((2,) * n, dtype=bool)
+        mask[slab] = True
+        return HermitianProjector.from_diagonal(mask.ravel())
+    if isinstance(target, str):
         target = formulas.parse(target, n)
     return HermitianProjector.from_diagonal(formulas.truth_mask(target, n))
 

@@ -2,20 +2,26 @@
 
 A formula evaluated against the canonical state ordering (proposition 0 on
 the most significant bit, affirmative = 0) yields a boolean mask over the
-2^n complete states; the classical engine turns such masks into diagonal
-projectors. Grammar, loosest binding first:
+2^n complete states; the classical engine turns a formula's mask into a
+diagonal projector. `parse` maps the word and symbol aliases onto `~ & |`
+and hands the result to Python's own expression parser (`ast`), so the
+precedence and associativity are Python's: `~` binds tightest, then `&`,
+then `|`, and both binary operators group to the left. As a grammar,
+loosest binding first:
 
-    or_expr  := and_expr (('|' | 'or') and_expr)*
-    and_expr := unary (('&' | 'and') unary)*
-    unary    := ('~' | '!' | 'not') unary | atom
+    or_expr  := and_expr (('|' | '∨' | 'or') and_expr)*
+    and_expr := unary (('&' | '∧' | 'and') unary)*
+    unary    := ('~' | '!' | '¬' | 'not') unary | atom
     atom     := name | '(' or_expr ')'
 
 Names are either the short letters p, q, r (propositions 0..2) or indexed
-identifiers p0, p1, ... with no upper bound.
+identifiers p0, p1, ... with no upper bound. Parsing builds no mask: with
+n given, each index is range-checked as its node is built.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass
 
@@ -112,68 +118,38 @@ def _tokens(text: str) -> list[str]:
     return out
 
 
-class _Parser:
-    def __init__(self, tokens: list[str], names: tuple[str, ...]):
-        self.tokens = tokens
-        self.pos = 0
-        self.names = {nm: i for i, nm in enumerate(names)}
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaError("formula ended unexpectedly")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Formula:
-        node = self.or_expr()
-        if self.peek() is not None:
-            raise FormulaError(f"trailing input from token {self.peek()!r}")
-        return node
-
-    def or_expr(self) -> Formula:
-        node = self.and_expr()
-        while self.peek() == "|":
-            self.take()
-            node = Or(node, self.and_expr())
-        return node
-
-    def and_expr(self) -> Formula:
-        node = self.unary()
-        while self.peek() == "&":
-            self.take()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> Formula:
-        if self.peek() == "~":
-            self.take()
-            return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.take()
-        if tok == "(":
-            node = self.or_expr()
-            if self.take() != ")":
-                raise FormulaError("expected ')'")
-            return node
-        if tok in self.names:
-            return Var(self.names[tok])
-        m = re.fullmatch(r"p(\d+)", tok)
-        if m:
-            return Var(int(m.group(1)))
-        raise FormulaError(f"unknown proposition name {tok!r}")
-
-
 def parse(text: str, n: int | None = None, names: tuple[str, ...] | None = None) -> Formula:
     """Parse a formula string. When n is given, indices are range-checked."""
     if names is None:
         names = default_names(n if n is not None else 3)
-    node = _Parser(_tokens(text), names).parse()
-    if n is not None:
-        truth_mask(node, n)  # raises FormulaError on out-of-range indices
-    return node
+    index = {nm: i for i, nm in enumerate(names)}
+
+    def var(name: str) -> Var:
+        if name in index:
+            i = index[name]
+        elif name[:1] == "p" and name[1:].isdigit():
+            i = int(name[1:])
+        else:
+            raise FormulaError(f"unknown proposition name {name!r}")
+        if n is not None and not i < n:
+            raise FormulaError(f"proposition index {i} out of range for n={n}")
+        return Var(i)
+
+    def build(node: ast.expr) -> Formula:
+        if isinstance(node, ast.Name):
+            return var(node.id[1:])
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Invert):
+            return Not(build(node.operand))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitAnd, ast.BitOr)):
+            kind = And if isinstance(node.op, ast.BitAnd) else Or
+            return kind(build(node.left), build(node.right))
+        raise FormulaError("malformed formula: misplaced '('")
+
+    # every name gets a leading "_", so that none reads as a Python keyword
+    source = " ".join(tok if tok in "()&|~" else "_" + tok for tok in _tokens(text))
+    try:
+        return build(ast.parse(source, mode="eval").body)
+    except SyntaxError as exc:
+        raise FormulaError(f"malformed formula: {exc.msg}") from None
+    except (RecursionError, MemoryError, ValueError):
+        raise FormulaError("formula is nested too deeply or has too long an index") from None

@@ -81,13 +81,17 @@ class TfuMeasureAssignment:
                 f"measure vector for n={self.n} needs {cell_count(self.n)} entries, "
                 f"got shape {arr.shape}"
             )
-        if np.any(arr < 0):
-            bad = int(np.argmin(arr))
+        if not (arr >= 0).all():
+            bad = int(np.argmin(arr))  # the first NaN, if there is one
+            kind = "negative" if arr[bad] < 0 else "NaN"
             raise ValidationError(
-                f"cell {cell_key(bad, self.n)} carries negative measure {arr[bad]!r}"
+                f"cell {cell_key(bad, self.n)} carries {kind} measure {arr[bad]!r}"
             )
-        if float(arr.sum()) <= 0.0:
+        total = float(arr.sum())
+        if not total > 0.0:
             raise ValidationError("total measure must be positive")
+        if not total < np.inf:
+            raise ValidationError(f"total measure {total!r} is not finite")
         arr.setflags(write=False)
         object.__setattr__(self, "measures", arr)
         object.__setattr__(self, "cube", arr.reshape((3,) * self.n))

@@ -58,7 +58,7 @@ class ComplexStateVector:
         if arr.size < 2 or (1 << n) != arr.size:
             raise ValidationError(f"state dimension {arr.size} is not a power of two >= 2")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > PROJECTOR_TOL:
+        if not abs(norm - 1.0) <= PROJECTOR_TOL:
             raise ValidationError(f"state norm {norm!r} is not 1 within {PROJECTOR_TOL}")
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)

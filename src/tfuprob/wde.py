@@ -123,8 +123,10 @@ class TfuPopulation:
         weights = np.asarray(self.weights, dtype=float).copy()
         if weights.shape != (len(items),):
             raise ValidationError("need exactly one weight per member")
-        if np.any(weights < 0):
+        if not (weights >= 0).all():
             raise ValidationError("weights must be nonnegative")
+        if not weights.sum() < np.inf:
+            raise ValidationError("weights must have a finite sum")
         weights.setflags(write=False)
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "weights", weights)

@@ -3,6 +3,7 @@ import pytest
 
 from tfuprob.classical import (
     ClassicalDistribution,
+    RealStateVector,
     and_op,
     build_state_vector,
     conditional,
@@ -16,7 +17,8 @@ from tfuprob.classical import (
     state_direction,
 )
 from tfuprob.errors import UndefinedConditionalError, ValidationError
-from tfuprob.formulas import parse, truth_mask
+import tfuprob.formulas
+from tfuprob.formulas import Var, parse, truth_mask
 from tfuprob.quantum import HermitianProjector, QubitDirection, SubspaceSpan, projector_from_spec
 
 
@@ -39,6 +41,18 @@ def test_distribution_validation():
         ClassicalDistribution([0.4, 0.4])
     with pytest.raises(ValidationError, match="power of two"):
         ClassicalDistribution([0.5, 0.25, 0.25])
+
+
+def test_distribution_and_state_vector_reject_nan():
+    with pytest.raises(ValidationError, match=r"entry 0 is NaN"):
+        ClassicalDistribution([float("nan"), 1.0])
+    with pytest.raises(ValidationError, match=r"entry 1 is NaN"):
+        ClassicalDistribution([-0.5, float("nan")])  # the NaN is named first
+    with pytest.raises(ValidationError, match="sums to inf"):
+        ClassicalDistribution([float("inf"), 0.0])
+    for bad in ([float("nan"), 1.0], [float("inf"), 0.0]):
+        with pytest.raises(ValidationError, match="norm (nan|inf) is not 1"):
+            RealStateVector(bad)
 
 
 def test_distribution_probs_read_only():
@@ -151,6 +165,27 @@ def test_projector_accepts_strings_and_indices():
     np.testing.assert_array_equal(
         projector_for(1, 2).mask, truth_mask(parse("q", 2), 2)
     )
+
+
+def test_projector_of_an_index_is_the_mask_of_its_variable():
+    for n in range(1, 13):
+        for i in range(n):
+            np.testing.assert_array_equal(projector_for(i, n).mask, truth_mask(Var(i), n))
+    for i, n in ((2, 2), (-1, 2), (0, 0)):
+        with pytest.raises(ValidationError, match="out of range"):
+            projector_for(i, n)
+
+
+def test_projector_of_a_string_builds_one_mask(monkeypatch):
+    calls = []
+
+    def counted(formula, n):
+        calls.append(formula)
+        return truth_mask(formula, n)
+
+    monkeypatch.setattr(tfuprob.formulas, "truth_mask", counted)
+    projector_for("p & ~(q | r)", 3)
+    assert len(calls) == 1
 
 
 def test_projector_dimension_mismatch():

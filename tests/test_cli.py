@@ -673,11 +673,21 @@ def _span_case(vectors):
             "projectors": {"P": {"type": "subspace", "vectors": vectors}}}
 
 
-# Amplitude lists that are not all [re, im] pairs of floats are read item by
-# item; their exit codes and messages are the ones that reading always gave.
+# Amplitude lists that are neither all [re, im] pairs of floats nor all
+# plain floats are read item by item; the exit codes and messages of every
+# kind of list are the ones that reading always gave.
 @pytest.mark.parametrize(
     "payload, code, err",
     [
+        pytest.param(_state_case([H, H]), 0, "", id="state-floats"),
+        pytest.param(_state_case([1.0, 0]), 0, "", id="state-float-and-int"),
+        pytest.param(_state_case([H, float("nan")]), 3,
+                     "error: quantum.state: expected a finite number, got nan\n",
+                     id="state-floats-nan"),
+        pytest.param(_span_case([[1.0, 0.0]]), 0, "", id="span-floats"),
+        pytest.param(_span_case([[1.0, 0.0], [0.0, -float("inf")]]), 3,
+                     "error: quantum.projectors.P: expected a finite number, got -inf\n",
+                     id="span-floats-inf"),
         pytest.param(_state_case([1, 0]), 0, "", id="state-ints"),
         pytest.param(_state_case([[1, 0], [0, 0]]), 0, "", id="state-int-pairs"),
         pytest.param(_state_case([[H, 0.0], H]), 0, "", id="state-mixed"),

@@ -54,6 +54,17 @@ def test_assignment_validation():
         TfuMeasureAssignment(2, [1.0, 1.0, 1.0])
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_assignment_rejects_nan_inf_and_an_infinite_total():
+    with pytest.raises(ValidationError, match="carries NaN measure"):
+        TfuMeasureAssignment(1, [float("nan"), 1.0, 0.0])
+    with pytest.raises(ValidationError, match="carries negative measure"):
+        TfuMeasureAssignment(1, [1.0, -0.5, 0.0])
+    for bad in ([float("inf"), 1.0, 0.0], [1e308, 1e308, 0.0]):
+        with pytest.raises(ValidationError, match="total measure inf is not finite"):
+            TfuMeasureAssignment(1, bad)
+
+
 def test_probability_matches_count_oracle():
     rng = np.random.default_rng(3)
     for n in (1, 2, 3):

@@ -37,6 +37,12 @@ def test_state_vector_must_be_normalized():
     ComplexStateVector([np.sqrt(0.5), np.sqrt(0.5) * 1j])  # ok
 
 
+def test_state_vector_rejects_nan_and_inf():
+    for bad in ([float("nan"), 1.0], [1.0, complex(0.0, float("nan"))], [float("inf"), 0.0]):
+        with pytest.raises(ValidationError, match="norm (nan|inf) is not 1"):
+            ComplexStateVector(bad)
+
+
 def test_state_vector_dimension_power_of_two():
     with pytest.raises(ValidationError, match="power of two"):
         ComplexStateVector([1.0, 0.0, 0.0])

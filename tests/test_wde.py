@@ -83,6 +83,15 @@ def test_population_validation():
         TfuPopulation(((T, T),), np.array([1.0]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_population_rejects_nan_inf_and_an_infinite_total():
+    with pytest.raises(ValidationError, match="nonnegative"):
+        TfuPopulation(((T, T, T),), np.array([float("nan")]))
+    for weights in ([float("inf")], [1e308, 1e308]):
+        with pytest.raises(ValidationError, match="finite sum"):
+            TfuPopulation(((T, T, T),) * len(weights), np.array(weights))
+
+
 def test_tfu_sets_fixture_arithmetic():
     pop = TfuPopulation(
         ((T, U, T), (T, T, T), (F, F, U)),
