@@ -43,13 +43,16 @@ def test_distribution_validation():
         ClassicalDistribution([0.5, 0.25, 0.25])
 
 
-def test_distribution_and_state_vector_reject_nan():
+def test_distribution_rejects_nan():
     with pytest.raises(ValidationError, match=r"entry 0 is NaN"):
         ClassicalDistribution([float("nan"), 1.0])
     with pytest.raises(ValidationError, match=r"entry 1 is NaN"):
         ClassicalDistribution([-0.5, float("nan")])  # the NaN is named first
     with pytest.raises(ValidationError, match="sums to inf"):
         ClassicalDistribution([float("inf"), 0.0])
+
+
+def test_state_vector_rejects_nan():
     for bad in ([float("nan"), 1.0], [float("inf"), 0.0]):
         with pytest.raises(ValidationError, match="norm (nan|inf) is not 1"):
             RealStateVector(bad)
