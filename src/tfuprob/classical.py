@@ -29,7 +29,7 @@ import numpy as np
 from .errors import UndefinedConditionalError, ValidationError
 from . import formulas
 from .formulas import Formula
-from .logic import slab_index, state_from_key, state_count
+from .logic import check_prop, slab_index, state_from_key, state_count
 from .quantum import HermitianProjector
 
 IDENTITY_TOL = 1e-12
@@ -125,14 +125,11 @@ def _mask(p: HermitianProjector, dim: int | None = None) -> np.ndarray:
 
 
 def projector_for(target: int | str | Formula, n: int) -> HermitianProjector:
-    """Projector of a proposition index, a formula string, or a parsed formula.
-    A proposition's states are the slab where its digit is affirmative."""
+    """Projector of a proposition index, a formula string, or a parsed formula."""
     if isinstance(target, (int, np.integer)):
-        slab = slab_index(n, (int(target), 0))
-        mask = np.zeros((2,) * n, dtype=bool)
-        mask[slab] = True
-        return HermitianProjector.from_diagonal(mask.ravel())
-    if isinstance(target, str):
+        check_prop(int(target), n)
+        target = formulas.Var(int(target))
+    elif isinstance(target, str):
         target = formulas.parse(target, n)
     return HermitianProjector.from_diagonal(formulas.truth_mask(target, n))
 

@@ -126,11 +126,8 @@ def _amplitude(value, where: str) -> complex:
 
 def _amplitudes(values: list, where: str) -> np.ndarray:
     """Complex array of a list of amplitudes, each read as _amplitude does."""
-    types = set(map(type, values))
-    if types == {float}:  # plain reals, read as _numbers reads them
-        return _finite(np.array(values, dtype=float), where).astype(complex)
     if (
-        types == {list}
+        set(map(type, values)) == {list}
         and set(map(len, values)) == {2}
         and set(map(type, chain.from_iterable(values))) == {float}
     ):  # [re, im] pairs of floats are complex128's layout

@@ -240,3 +240,16 @@ def test_too_deep_or_too_long_input_is_a_formula_error(text):
         parse(text, 3)
     with pytest.raises(FormulaError):
         parse(text)
+
+
+@pytest.mark.parametrize("depth", [199, 200, 201])
+def test_nesting_past_200_parentheses_is_where_parse_departs_from_the_oracle(depth):
+    # Python's tokenizer stops at 200 nested parentheses; the old parser
+    # read a few more levels before it ran out of stack
+    text = "(" * depth + "p & q" + ")" * depth
+    want = _oracle_parse(text, 3)
+    if depth <= 200:
+        assert parse(text, 3) == want == And(Var(0), Var(1))
+    else:
+        with pytest.raises(FormulaError, match="^malformed formula: too many nested parentheses$"):
+            parse(text, 3)
