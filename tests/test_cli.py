@@ -425,6 +425,22 @@ def test_cell_keys_naming_one_cell_exit_3(capsys, tmp_path, n, measures, keys):
 
 
 @pytest.mark.parametrize(
+    "payload, message",
+    [
+        pytest.param({"version": 1, "mode": "classical", "n": 1, "probs": [1.5, -0.5]},
+                     "distribution entry 1 is negative (np.float64(-0.5))", id="classical"),
+        pytest.param({"version": 1, "mode": "tfu-measure", "n": 1, "measures": [1, -0.5, 2]},
+                     "cell F carries negative measure np.float64(-0.5)", id="tfu-measure"),
+    ],
+)
+def test_negative_entries_exit_3_printing_the_entry(capsys, tmp_path, payload, message):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "eval", str(path))
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "text, key",
     [
         pytest.param('{"version": 1, "mode": "classical", "n": 1, "n": 1, "probs": [0.5, 0.5]}',
