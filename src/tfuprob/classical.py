@@ -56,7 +56,7 @@ class ClassicalDistribution:
         if not (arr >= 0).all():
             bad = int(np.argmin(arr))  # the first NaN, if there is one
             kind = "negative" if arr[bad] < 0 else "NaN"
-            raise ValidationError(f"distribution entry {bad} is {kind} ({arr[bad]!r})")
+            raise ValidationError(f"distribution entry {bad} is {kind} ({float(arr[bad])})")
         total = float(arr.sum())
         if not abs(total - 1.0) <= IDENTITY_TOL:
             raise ValidationError(

@@ -85,7 +85,7 @@ class TfuMeasureAssignment:
             bad = int(np.argmin(arr))  # the first NaN, if there is one
             kind = "negative" if arr[bad] < 0 else "NaN"
             raise ValidationError(
-                f"cell {cell_key(bad, self.n)} carries {kind} measure {arr[bad]!r}"
+                f"cell {cell_key(bad, self.n)} carries {kind} measure {float(arr[bad])}"
             )
         total = float(arr.sum())
         if not total > 0.0:

@@ -428,9 +428,9 @@ def test_cell_keys_naming_one_cell_exit_3(capsys, tmp_path, n, measures, keys):
     "payload, message",
     [
         pytest.param({"version": 1, "mode": "classical", "n": 1, "probs": [1.5, -0.5]},
-                     "distribution entry 1 is negative (np.float64(-0.5))", id="classical"),
+                     "distribution entry 1 is negative (-0.5)", id="classical"),
         pytest.param({"version": 1, "mode": "tfu-measure", "n": 1, "measures": [1, -0.5, 2]},
-                     "cell F carries negative measure np.float64(-0.5)", id="tfu-measure"),
+                     "cell F carries negative measure -0.5", id="tfu-measure"),
     ],
 )
 def test_negative_entries_exit_3_printing_the_entry(capsys, tmp_path, payload, message):
