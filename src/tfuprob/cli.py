@@ -263,6 +263,8 @@ def cmd_search(args) -> int:
         raise ProblemFileError("search needs a wde problem with the quantum variant")
     if problem.grids is None:
         raise ProblemFileError("search needs a grid (or grids) in the problem file")
+    if problem.tests is not None and isinstance(problem.tests[0], quantum.HermitianProjector):
+        raise ProblemFileError("search scans qubit directions; this file's tests are projectors")
     grids = problem.grids
     if args.grid_step is not None:
         grids = tuple(g.with_step(args.grid_step) for g in grids)

@@ -8,7 +8,8 @@ Every file carries an integer "version" (currently 1) and a "mode":
     quantum      {"state": [amp, ...], "projectors": {"P": spec, ...}}
     wde          {"variant": "classical" | "tfu-sets" | "quantum", ...}
 
-Amplitudes are JSON numbers or [re, im] pairs. Projector specs:
+Amplitudes are JSON numbers or [re, im] pairs. A quantum projector's name
+holds no ",", which separates the two names of a pair key. Projector specs:
 
     {"type": "qubit-direction", "theta": x, "phi": 0, "factor": 0, "n_factors": 1}
     {"type": "diagonal", "mask": [1, 0, ...]}
@@ -16,11 +17,13 @@ Amplitudes are JSON numbers or [re, im] pairs. Projector specs:
 
 The wde quantum variant takes "protocol" ("paired" or "shared"), a
 "state", and either "directions" {"a": {"theta": ...}, "b": ..., "c": ...}
-or, for the shared protocol, "projectors" {"a": spec, ...}; an optional
-"grid" {"start", "stop", "step"} (or one such object per angle under
-"grids") enables violation searches. "ordering" picks the pair ordering
-(default "symmetrized"), and "factor" the qubit the shared protocol's
-directions act on.
+or, for the shared protocol, "projectors" {"a": spec, ...}, never both: a
+file gives its three tests once. An optional "grid" {"start", "stop",
+"step"} (or one such object per angle under "grids") enables violation
+searches, which scan one-qubit directions and so refuse a file whose tests
+are projectors. "ordering" picks the pair ordering (default
+"symmetrized"), and "factor" the qubit the shared protocol's directions
+act on.
 
 Structural problems (bad JSON, missing or unknown fields) raise
 ProblemFileError; payloads that parse but violate domain invariants raise
@@ -301,10 +304,14 @@ def _parse_quantum(payload: dict) -> QuantumProblem:
     raw_projs = _need(payload, "projectors", dict, "quantum")
     if not raw_projs:
         raise ProblemFileError("quantum: needs at least one projector")
-    projectors = {
-        str(name): parse_projector_spec(spec, f"quantum.projectors.{name}", dim=state.dim)
-        for name, spec in raw_projs.items()
-    }
+    projectors = {}
+    for name, spec in raw_projs.items():
+        where = f"quantum.projectors.{name}"
+        if "," in name:
+            raise ProblemFileError(
+                f"{where}: a projector name may not contain ',', which separates pair keys"
+            )
+        projectors[name] = parse_projector_spec(spec, where, dim=state.dim)
     return QuantumProblem(state, projectors)
 
 
@@ -370,6 +377,8 @@ def _parse_wde(payload: dict) -> Problem:
         elif ordering not in ORDERINGS:
             raise ProblemFileError(f"wde: unknown ordering {ordering!r}")
         factor = _integer(payload, "factor", 0, "wde")
+        if "directions" in payload and "projectors" in payload:
+            raise ProblemFileError("wde: give the tests as directions or as projectors, not both")
         tests = None
         if "directions" in payload:
             tests = _abc(payload, "directions", _parse_direction)

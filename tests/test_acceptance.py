@@ -46,7 +46,6 @@ from tfuprob.measures import (
     DecidabilityAugmentedSpace,
     TfuMeasureAssignment,
     noncommutativity_gap,
-    swap_tf,
     tfu_conditional,
     tfu_from_augmented,
     tfu_probability,
@@ -178,6 +177,11 @@ def test_criterion_3_classical_identity_suite():
         assert elapsed < 30.0, f"identity suite took {elapsed:.2f}s"
 
 
+def _swap_tf(m: TfuMeasureAssignment, prop: int) -> TfuMeasureAssignment:
+    """The assignment with T and F exchanged on one proposition (its negation)."""
+    return TfuMeasureAssignment(m.n, np.take(m.cube, [1, 0, 2], axis=prop).ravel())
+
+
 def test_criterion_4_tfu_measure_suite():
     with criterion(4, "measure identities, 1e4 cases each"):
         rng = np.random.default_rng(1931)
@@ -189,7 +193,7 @@ def test_criterion_4_tfu_measure_suite():
             m = TfuMeasureAssignment(2, row)
             prob = tfu_probability(0, m)
             # complement through the T/F swap
-            assert abs(prob + tfu_probability(0, swap_tf(m, 0)) - 1.0) <= TOL
+            assert abs(prob + tfu_probability(0, _swap_tf(m, 0)) - 1.0) <= TOL
             # scale invariance
             assert abs(tfu_probability(0, TfuMeasureAssignment(2, row * 97.0)) - prob) <= TOL
             # undecided mass is inert
@@ -342,13 +346,13 @@ def test_criterion_9_cli_determinism_and_fixtures():
         start = time.perf_counter()
 
         def run(argv):
-            buffer = io.StringIO()
-            with contextlib.redirect_stdout(buffer):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli_main(argv)
-            return code, buffer.getvalue()
+            return code, out.getvalue(), err.getvalue()
 
-        code1, out1 = run(["check", "--seed", "0"])
-        code2, out2 = run(["check", "--seed", "0"])
+        code1, out1, _ = run(["check", "--seed", "0"])
+        code2, out2, _ = run(["check", "--seed", "0"])
         assert code1 == 0 and code2 == 0
         assert out1 == out2  # byte-identical
         assert json.loads(out1)["passed"] is True
@@ -356,13 +360,16 @@ def test_criterion_9_cli_determinism_and_fixtures():
         fixtures = sorted(FIXTURES.glob("*.json"))
         assert len(fixtures) == 8
         for path in fixtures:
-            code, out = run(["eval", str(path)])
+            code, out, _ = run(["eval", str(path)])
             assert code == 0, path.name
             # canonical serialization round-trips to the same bytes
             assert dumps_canonical(json.loads(out)) == out, path.name
-        for name in ("wde_quantum.json", "wde_shared.json"):
-            code, out = run(["search", str(FIXTURES / name)])
-            assert code == 0, name
-            assert dumps_canonical(json.loads(out)) == out, name
+        code, out, _ = run(["search", str(FIXTURES / "wde_quantum.json")])
+        assert code == 0
+        assert dumps_canonical(json.loads(out)) == out
+        # search refuses the shared fixture, whose tests are projectors
+        refusals = [run(["search", str(FIXTURES / "wde_shared.json")]) for _ in range(2)]
+        assert refusals[0][:2] == (2, "") and refusals[0][2].count("\n") == 1
+        assert refusals[0] == refusals[1]
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"CLI determinism checks took {elapsed:.2f}s"

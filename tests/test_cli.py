@@ -137,8 +137,15 @@ def test_search_finds_singlet_witness(capsys):
     assert witness["holds"] is False
 
 
-def test_search_reports_no_witness_on_commuting_grid(capsys):
-    code, out, err = run_cli(capsys, "search", str(FIXTURES / "wde_shared.json"))
+def test_search_reports_no_witness_on_commuting_grid(capsys, tmp_path):
+    # wde_shared.json's state and grid, with no tests: on the product state
+    # |00> every shared-protocol tuple of directions on qubit 0 satisfies
+    # the inequality
+    shared = json.loads((FIXTURES / "wde_shared.json").read_text())
+    del shared["projectors"]
+    path = tmp_path / "shared_grid_only.json"
+    path.write_text(json.dumps(shared))
+    code, out, err = run_cli(capsys, "search", str(path))
     assert code == 0, err
     report = json.loads(out)
     assert report["results"]["witness"] is None
@@ -554,6 +561,13 @@ QUBIT = {"type": "qubit-direction", "theta": 0}
         pytest.param(
             json.dumps(_quantum_with({**QUBIT, "factor": "x"})), "'factor' must be an integer",
             id="qubit-factor-string",
+        ),
+        pytest.param(
+            # the pair keys "a,b,c" of (a,b; c) and (a; b,c) would be one key
+            json.dumps({**_quantum_with(QUBIT),
+                        "projectors": {name: QUBIT for name in ("a,b", "c", "a", "b,c")}}),
+            "quantum.projectors.a,b: a projector name may not contain ','",
+            id="projector-name-comma",
         ),
         pytest.param(
             json.dumps(_quantum_with({**QUBIT, "factor": 0.0})), "'factor' must be an integer",
@@ -1044,7 +1058,10 @@ def _run_digest(capsys, *argv) -> str:
 
 # sha256 of (exit code, stdout, stderr) of every wde fixture and edge file,
 # taken before the shared protocol's direction placement moved into `wde`
-# and `cli` evaluated every mode from one table.
+# and `cli` evaluated every mode from one table. Re-taken for the files
+# whose tests are projectors under `search`, which now refuses them, and
+# for "shared-directions-and-projectors", which gives both kinds of test
+# and is now refused by both verbs.
 GOLDEN_WDE_SHA256 = {
     ("wde_classical.json", "eval", "structured"): "42bf28e814ce1fc62a12599e46f1c7d45f08fba1ca362bce55a4a46ea1729232",
     ("wde_classical.json", "eval", "csv"): "c15b8ead67d6649b50ca7b3d55926bb65ca525d1fef379b30d122f39dc073692",
@@ -1061,9 +1078,9 @@ GOLDEN_WDE_SHA256 = {
     ("wde_shared.json", "eval", "structured"): "faa9626e1936b8cc475245aabf46d633afcb9d85ab7c88329111760ec313eda0",
     ("wde_shared.json", "eval", "csv"): "017fe96ee8c72f6486524c4e5d0ca2fd775f2cb83c633073c17e2d69f7a8ab93",
     ("wde_shared.json", "eval", "table"): "eea3ea9e96e669c2e71bf75f4dd90cca7fad46046a603205afc4ac363bcc168d",
-    ("wde_shared.json", "search", "structured"): "de67c256c77023467d70ca914ca9e609d2a30b8869b8a1047a0ddfdcee2f840c",
-    ("wde_shared.json", "search", "csv"): "493d83a5a15b07304840b468f2bb05571854bb8ccd3040c3d07a8a31569952c5",
-    ("wde_shared.json", "search", "table"): "49c62b60ff3b8c34c9bc9aabf28c63a3e5175304f8cfa9c4a47dc15dc82a86d7",
+    ("wde_shared.json", "search", "structured"): "7f1c6ee85471f39a97913d6d759a3c9220357779f5fbcfcb32e2cd89f2b3f462",
+    ("wde_shared.json", "search", "csv"): "7f1c6ee85471f39a97913d6d759a3c9220357779f5fbcfcb32e2cd89f2b3f462",
+    ("wde_shared.json", "search", "table"): "7f1c6ee85471f39a97913d6d759a3c9220357779f5fbcfcb32e2cd89f2b3f462",
     ("wde_tfu_sets.json", "eval", "structured"): "e46f5ee1c65044ea8c94f2b4c58a8a47f63a62cd91aad6df1ebac699fd560e74",
     ("wde_tfu_sets.json", "eval", "csv"): "b6488a7b9f3204444d80cae1da69fb17c85b16fd42584c657f78b686945656c0",
     ("wde_tfu_sets.json", "eval", "table"): "34a5d433febc59d05ca610b7368f97ccca1dc065742a2b207a346f91f8fc00bf",
@@ -1118,12 +1135,12 @@ GOLDEN_WDE_SHA256 = {
     ("shared-3q-factor2", "search", 0): "840406340b411a5abc29620476d0379be707d633fece9870a756b188fcf5f607",
     ("shared-3q-factor2", "search", 1): "88bb7f37bd7e223fd42f753efe45724222d2ef7b1af7ad05b504b804737f4adf",
     ("shared-3q-factor2", "search", 2): "91a04952c323a9d42b25938dba4dcb9aeaf95534c84494f5949c2f8b59786112",
-    ("shared-directions-and-projectors", "eval", 0): "ba9cc0236ace16c8fa472a826d7ca6d94ab577e7966f28d466af0c498cd264db",
-    ("shared-directions-and-projectors", "eval", 1): "012d1847f0320567d10da052ff50a800ee9b57c2d7d5698970ce3c20d336beac",
-    ("shared-directions-and-projectors", "eval", 2): "0aa4a3227c6b2f441f55e67798b210b3ed04dd877319a6e2f2582152772194e7",
-    ("shared-directions-and-projectors", "search", 0): "8713a25d928fe1c53840843384b6db1182fcdd952b26ed914e0f20c352f0eac3",
-    ("shared-directions-and-projectors", "search", 1): "5ffadd437ae4017ec94036bfac30039af2360a5ccc370ce5f70c8a02e81270f4",
-    ("shared-directions-and-projectors", "search", 2): "0de72ab358fd24acd0ae765474c8a0b6c7d1c3e9b3cef69f04eea15beee53d1c",
+    ("shared-directions-and-projectors", "eval", 0): "1af81b682e3ba9c11a4efda5df2a28b23f764c13b0329591bf1084d6c69c69e5",
+    ("shared-directions-and-projectors", "eval", 1): "1af81b682e3ba9c11a4efda5df2a28b23f764c13b0329591bf1084d6c69c69e5",
+    ("shared-directions-and-projectors", "eval", 2): "1af81b682e3ba9c11a4efda5df2a28b23f764c13b0329591bf1084d6c69c69e5",
+    ("shared-directions-and-projectors", "search", 0): "1af81b682e3ba9c11a4efda5df2a28b23f764c13b0329591bf1084d6c69c69e5",
+    ("shared-directions-and-projectors", "search", 1): "1af81b682e3ba9c11a4efda5df2a28b23f764c13b0329591bf1084d6c69c69e5",
+    ("shared-directions-and-projectors", "search", 2): "1af81b682e3ba9c11a4efda5df2a28b23f764c13b0329591bf1084d6c69c69e5",
     ("shared-factor-5", "eval", 0): "e56951c43ef45bf26e427f19fd43f19ded1cdf8245abbc6aa223594deb7eed46",
     ("shared-factor-5", "eval", 1): "e56951c43ef45bf26e427f19fd43f19ded1cdf8245abbc6aa223594deb7eed46",
     ("shared-factor-5", "eval", 2): "e56951c43ef45bf26e427f19fd43f19ded1cdf8245abbc6aa223594deb7eed46",
@@ -1151,9 +1168,9 @@ GOLDEN_WDE_SHA256 = {
     ("shared-projectors-bad-factor", "eval", 0): "bf9e6d8041bc7cd72c65d6694e0059f1e04daebc4515d5b66e48b697b3dea091",
     ("shared-projectors-bad-factor", "eval", 1): "dbe25aa9b951808dc26eec31cc4ad253c6272334d2e2cda25e4bc4873ef41639",
     ("shared-projectors-bad-factor", "eval", 2): "06cb92c1352d33b19e2d304d5ccfdfde831473592c4d2e92ccab00001cd3d843",
-    ("shared-projectors-bad-factor", "search", 0): "e56951c43ef45bf26e427f19fd43f19ded1cdf8245abbc6aa223594deb7eed46",
-    ("shared-projectors-bad-factor", "search", 1): "e56951c43ef45bf26e427f19fd43f19ded1cdf8245abbc6aa223594deb7eed46",
-    ("shared-projectors-bad-factor", "search", 2): "e56951c43ef45bf26e427f19fd43f19ded1cdf8245abbc6aa223594deb7eed46",
+    ("shared-projectors-bad-factor", "search", 0): "7f1c6ee85471f39a97913d6d759a3c9220357779f5fbcfcb32e2cd89f2b3f462",
+    ("shared-projectors-bad-factor", "search", 1): "7f1c6ee85471f39a97913d6d759a3c9220357779f5fbcfcb32e2cd89f2b3f462",
+    ("shared-projectors-bad-factor", "search", 2): "7f1c6ee85471f39a97913d6d759a3c9220357779f5fbcfcb32e2cd89f2b3f462",
 }
 
 
@@ -1172,6 +1189,42 @@ def test_wde_edge_output_bytes_are_pinned(capsys, tmp_path, name, verb):
     path.write_text(json.dumps(WDE_EDGE_FILES[name]))
     got = [_run_digest(capsys, verb, str(path), *flags) for flags in WDE_EDGE_FLAGS]
     assert got == [GOLDEN_WDE_SHA256[name, verb, pos] for pos in range(len(WDE_EDGE_FLAGS))]
+
+
+# shared-protocol files whose tests are projectors, which `eval` tests and
+# `search`, a scan of one-qubit directions, refuses
+PROJECTOR_FILES = {
+    "wde_shared.json": json.loads((FIXTURES / "wde_shared.json").read_text()),
+    "shared-projectors-bad-factor": WDE_EDGE_FILES["shared-projectors-bad-factor"],
+    "shared-3q-projectors": _wde_quantum("shared", _wde_state(10, 8), grid=_WDE_GRID, projectors={
+        "a": {"type": "qubit-direction", "theta": 0.7, "phi": 0.2, "factor": 1, "n_factors": 3},
+        "b": {"type": "subspace", "vectors": [[1, 0, 0, 0, 0, 0, 0, 1], [0, 1, 1, 0, 0, 0, 0, 0]]},
+        "c": {"type": "diagonal", "mask": [1, 0, 0, 1, 1, 0, 1, 0]},
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTOR_FILES))
+def test_search_refuses_a_file_whose_tests_are_projectors(capsys, tmp_path, name):
+    path = tmp_path / "projectors.json"
+    path.write_text(json.dumps(PROJECTOR_FILES[name]))
+    code, out, err = run_cli(capsys, "eval", str(path))
+    assert code == 0 and err == "", err
+    code, out, err = run_cli(capsys, "search", str(path))
+    assert (code, out, err) == (
+        2, "", "error: search scans qubit directions; this file's tests are projectors\n")
+
+
+@pytest.mark.parametrize("verb", ["eval", "search"])
+@pytest.mark.parametrize("protocol", ["paired", "shared"])
+def test_wde_file_gives_directions_or_projectors_not_both(capsys, tmp_path, protocol, verb):
+    payload = _wde_quantum(protocol, SINGLET_STATE, directions=_WDE_DIRECTIONS,
+                           projectors=_WDE_MASKS, grid=_WDE_GRID)
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, verb, str(path))
+    assert (code, out, err) == (
+        2, "", "error: wde: give the tests as directions or as projectors, not both\n")
 
 
 # sha256 of stdout of `check --seed S --format F`, taken before the
