@@ -68,7 +68,6 @@ from .quantum import (
     projector_from_spec,
     qubit_state,
     sequential_conditional,
-    tensor,
 )
 from .wde import (
     AngleGrid,

@@ -165,16 +165,10 @@ def noncommutativity_gap(p: int, q: int, m: TfuMeasureAssignment) -> float:
     return gap(prob_p, q_given_p, tfu_probability(q, m), tfu_conditional(p, q, m))
 
 
-def swap_tf(m: TfuMeasureAssignment, prop: int) -> TfuMeasureAssignment:
-    """The assignment with T and F exchanged on one proposition (its negation)."""
-    check_prop(prop, m.n)
-    return TfuMeasureAssignment(m.n, np.take(m.cube, [_F, _T, _U], axis=prop).ravel())
-
-
 def complement_check(prop: int, m: TfuMeasureAssignment) -> tuple[float, float]:
     """(prob(p), prob(~p)); the two always sum to one when defined. prob(~p)
-    is the F-mass over the decided mass, what `tfu_probability` gives on
-    `swap_tf(m, prop)`, read off the same two slabs."""
+    is the F-mass over the decided mass: the probability of p with its T and
+    F cells exchanged, read off the same two slabs."""
     t, f = _decided_mass(prop, m)
     return t / (t + f), f / (f + t)
 

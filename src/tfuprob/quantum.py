@@ -21,10 +21,10 @@ A projector takes one of three forms, fixed by how it was built:
 * a subspace span, the dense `B^T B^*` of an orthonormalized basis B.
 
 The library's constructors are correct by construction and skip the d^3
-Hermitian/idempotent check; only a matrix passed in by a caller, as in
-`HermitianProjector(matrix)` or `tensor`, is validated. Problem files are
-limited to states of at most MAX_DIM amplitudes. Dynamics are out of
-scope: only states, projectors and the probability rule.
+Hermitian/idempotent check; only a matrix passed in by a caller, as
+`HermitianProjector(matrix)`, is validated. Problem files are limited to
+states of at most MAX_DIM amplitudes. Dynamics are out of scope: only
+states, projectors and the probability rule.
 """
 
 from __future__ import annotations
@@ -322,15 +322,6 @@ def commutator_norm(p: HermitianProjector, q: HermitianProjector) -> float:
         ))
     pm, qm = p.matrix, q.matrix
     return float(np.max(np.abs(pm @ qm - qm @ pm)))
-
-
-def tensor(a, b):
-    """Kronecker composition of two states or two projectors."""
-    if isinstance(a, ComplexStateVector) and isinstance(b, ComplexStateVector):
-        return ComplexStateVector(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, HermitianProjector) and isinstance(b, HermitianProjector):
-        return HermitianProjector(np.kron(a.matrix, b.matrix))
-    raise ValidationError("tensor needs two states or two projectors")
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

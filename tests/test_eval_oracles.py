@@ -49,6 +49,12 @@ def _old_tfu_probability(prop, m):
     return t / (t + f)
 
 
+def _old_swap_tf(m, prop):
+    """The assignment with T and F exchanged on one proposition: the copy
+    [~p] was once read from."""
+    return measures.TfuMeasureAssignment(m.n, np.take(m.cube, [1, 0, 2], axis=prop).ravel())
+
+
 def _old_tfu_conditional(q, p, m):
     if p == q:
         raise ValidationError("conditional needs two distinct propositions")
@@ -122,7 +128,7 @@ def _old_eval_tfu_measure(problem):
     for i, name in enumerate(names):
         with cli._labeled(f"[{name}]"):
             prob = _old_tfu_probability(i, m)
-            comp = _old_tfu_probability(i, measures.swap_tf(m, i))
+            comp = _old_tfu_probability(i, _old_swap_tf(m, i))
         propositions[name] = {f"[{name}]": prob, f"[~{name}]": comp}
     pairs = {}
     for i in range(m.n):
@@ -333,7 +339,7 @@ def test_tfu_functions_match_per_call_bodies():
                 assert _outcome(measures.tfu_probability, p, m) == want
                 assert _outcome(lambda: measures.complement_check(p, m)[0]) == want
                 assert _outcome(lambda: measures.complement_check(p, m)[1]) == _outcome(
-                    _old_tfu_probability, p, measures.swap_tf(m, p)
+                    _old_tfu_probability, p, _old_swap_tf(m, p)
                 )
             else:
                 with pytest.raises(ValidationError, match="out of range"):

@@ -12,7 +12,6 @@ from tfuprob.measures import (
     cell_key,
     complement_check,
     noncommutativity_gap,
-    swap_tf,
     tfu_conditional,
     tfu_from_augmented,
     tfu_probability,
@@ -120,6 +119,11 @@ def test_conditional_undefined_without_decided_mass():
         tfu_conditional(1, 0, m)
 
 
+def _swap_tf(m, prop):
+    """The assignment with T and F exchanged on one proposition (its negation)."""
+    return TfuMeasureAssignment(m.n, np.take(m.cube, [1, 0, 2], axis=prop).ravel())
+
+
 def test_swap_tf_complement_identity():
     rng = np.random.default_rng(15)
     for n in (1, 2, 3):
@@ -132,9 +136,11 @@ def test_swap_tf_complement_identity():
 
 def test_swap_tf_permutes_cells():
     m = TfuMeasureAssignment.from_mapping(2, {"TF": 1.0, "UT": 2.0})
-    flipped = swap_tf(m, 0)
+    flipped = _swap_tf(m, 0)
     assert flipped.measures[cell_from_key("FF")[0]] == 1.0
     assert flipped.measures[cell_from_key("UT")[0]] == 2.0  # U untouched
+    # prob(~p) is the probability of p on the swapped assignment
+    assert complement_check(0, m)[1] == tfu_probability(0, flipped) == 0.0
 
 
 def test_gap_exhibit_exact():
@@ -257,7 +263,7 @@ def test_slab_reads_match_digit_masks(n):
             assert repr(tfu_probability(prop, m)) == repr(t / (t + f))
             step = 3 ** (n - 1 - prop)
             source = np.arange(3 ** n) + np.where(dp == 0, step, np.where(dp == 1, -step, 0))
-            swapped = swap_tf(m, prop)
+            swapped = _swap_tf(m, prop)
             assert _same_bits(swapped.measures, w[source])
             # the negation read off the F slab is the swapped assignment's probability
             assert repr(complement_check(prop, m)[1]) == repr(tfu_probability(prop, swapped))
@@ -271,10 +277,9 @@ def test_slab_reads_match_digit_masks(n):
 @pytest.mark.parametrize("prop", [-1, 2, 5])
 def test_digits_reject_out_of_range_proposition(prop):
     m = TfuMeasureAssignment(2, np.ones(9))
-    for read in (complement_check, tfu_probability, swap_tf):
-        args = (m, prop) if read is swap_tf else (prop, m)
+    for read in (complement_check, tfu_probability):
         with pytest.raises(ValidationError, match="out of range"):
-            read(*args)
+            read(prop, m)
     with pytest.raises(ValidationError, match="out of range"):
         tfu_conditional(prop, 0 if prop != 0 else 1, m)
     with pytest.raises(ValidationError, match="out of range"):
@@ -290,8 +295,6 @@ def test_slab_reads_leave_measures_read_only():
     tfu_conditional(2, 1, m)
     with pytest.raises(ValueError):
         m.cube[0, 0, 0] = 2.0
-    with pytest.raises(ValueError):
-        swap_tf(m, 1).measures[0] = 2.0
     assert m.measures.tolist() == list(range(27))
 
 

@@ -22,7 +22,6 @@ from tfuprob.quantum import (
     projector_from_spec,
     qubit_state,
     sequential_conditional,
-    tensor,
 )
 
 
@@ -186,22 +185,6 @@ def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(26)
     u = haar_unitary(8, rng)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
-
-
-def test_tensor_of_states_and_projectors():
-    sa = ComplexStateVector(qubit_state(0.3))
-    sb = ComplexStateVector(qubit_state(1.2, phi=0.4))
-    s = tensor(sa, sb)
-    np.testing.assert_allclose(
-        s.amplitudes, np.kron(sa.amplitudes, sb.amplitudes), atol=1e-15
-    )
-    pa = projector_from_spec(QubitDirection(0.3))
-    pb = projector_from_spec(QubitDirection(1.2))
-    np.testing.assert_allclose(
-        tensor(pa, pb).matrix, np.kron(pa.matrix, pb.matrix), atol=1e-15
-    )
-    with pytest.raises(ValidationError, match="two states or two projectors"):
-        tensor(sa, pb)
 
 
 def test_diagonal_sector_reduces_to_classical():
