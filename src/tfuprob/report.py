@@ -172,7 +172,9 @@ def _block(template: str, floats: list, per: int, start: int = 0) -> str:
 
 
 def _csv_field(text: str) -> str:
-    if "," in text or '"' in text:
+    """The field quoted as RFC 4180 asks when it holds a comma, a quote or
+    a line break, which would otherwise split its row."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -187,8 +189,8 @@ def dumps_csv(report: dict) -> str:
             lines.append(f"{_csv_field(label)},{_csv_field(value)}")
             continue
         floats, suffixes = value
-        # "[%d]" and the suffixes hold no comma or quote, so each label
-        # quotes as its prefix does
+        # "[%d]" and the suffixes hold no comma, quote or line break, so
+        # each label quotes as its prefix does
         escaped = label.replace("%", "%%") + "[%d]"
         template = "\n".join(_csv_field(escaped + suffix) + ",%.12g" for suffix in suffixes)
         lines.append(_block(template, _finite_floats(floats), len(suffixes)))

@@ -25,9 +25,11 @@ mutations; a random sweep that reached every one of them found no breach.
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -96,7 +98,8 @@ def test_mutated_fixtures_load_or_raise_a_package_error(text):
 
 def _assert_contract(argv: list[str], text: str) -> None:
     """Exit 0 with nothing on stderr, or exit 2-5 with one stderr line and
-    nothing on stdout."""
+    nothing on stdout. The line prints numbers, not numpy reprs, and a csv
+    report parses into label,value rows."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
@@ -106,8 +109,12 @@ def _assert_contract(argv: list[str], text: str) -> None:
     lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
     if code == 0:
         assert lines == [], (argv, text)
+        if dict(zip(argv[2::2], argv[3::2])).get("--format") == "csv":  # verb, file, flags
+            rows = csv.reader(io.StringIO(out.getvalue(), newline=""))
+            assert {len(row) for row in rows} == {2}, (argv, text)
     else:
         assert 2 <= code <= 5 and len(lines) == 1, (argv, text, code, lines)
+        assert not re.search(r"\bnp\.\w+\(", lines[0]), (argv, text, lines)
         assert out.getvalue() == "", (argv, text)
 
 
@@ -166,7 +173,7 @@ H = math.sqrt(0.5)
 PI = math.pi
 JUNK = (None, True, -1, 0, 1.5, 1e308, 10 ** 400, float("nan"), "", "x", [], {}, [[]],
         [[[0.5]]], {"a": [1, {"b": []}]}, [1, [0, [1.0]]])
-UNKNOWN = ("extra", "N", "Version", "probs", "state", "items", "grid")
+UNKNOWN = ("extra", "N", "Version", "probs", "state", "items", "grid", "k\r")
 CAPS = {"tfu-table": 20, "classical": 20, "tfu-measure": 12}
 STATES = ([0.0, H, -H, 0.0], [1.0, 0.0], [H, H], [[H, 0.0], [0.0, H]], [0.6, 0.8, 0.0, 0.0],
           [1, 0, 0, 0], [[0.5, 0.0]] * 4, [[0.5, 0.0], 0.5, [0.0, 0.5], -0.5],

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -55,6 +57,16 @@ def test_csv_flattens_and_quotes():
     assert lines[0] == "label,value"
     assert '"pairs.p,q.|p&q|",0.25' in lines
     assert "ok,true" in lines
+
+
+def test_csv_quotes_fields_that_hold_a_line_break():
+    report = {"a\nb": {"v": 0.5, "s": "x\r\ny"}, "k\r": [0.25, 0.5], "pairs": [[0.5, 1.0]]}
+    rows = list(csv.reader(io.StringIO(dumps_csv(report), newline="")))
+    assert all(len(row) == 2 for row in rows)
+    assert dict(rows[1:]) == {
+        "a\nb.s": "x\r\ny", "a\nb.v": "0.5", "k\r[0]": "0.25", "k\r[1]": "0.5",
+        "pairs[0][0]": "0.5", "pairs[0][1]": "1",
+    }
 
 
 def test_csv_indexes_lists():
@@ -125,9 +137,9 @@ def _oracle_dumps_csv(report):
     _oracle_flatten(report, "", rows)
     lines = ["label,value"]
     for label, text in rows:
-        if "," in text or '"' in text:
+        if any(ch in text for ch in ',"\n\r'):
             text = '"' + text.replace('"', '""') + '"'
-        if "," in label or '"' in label:
+        if any(ch in label for ch in ',"\n\r'):
             label = '"' + label.replace('"', '""') + '"'
         lines.append(f"{label},{text}")
     return "\n".join(lines) + "\n"
@@ -201,7 +213,7 @@ BLOCK_SIZES = (0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001)
 @pytest.mark.parametrize("fmt", ["csv", "table"])
 def test_float_blocks_match_per_row_rendering(fmt, monkeypatch):
     rng = np.random.default_rng(89)
-    labels = ["plain", "a,b", 'say "hi"', "100%", "%d%s%%", 'x,"%.12g"', ""]
+    labels = ["plain", "a,b", 'say "hi"', "100%", "%d%s%%", 'x,"%.12g"', "", "a\nb", "k\r"]
     for size in BLOCK_SIZES:
         for label in labels:
             report = {label: _floats(rng, size), "z": {"short": 0.5}}
