@@ -8,10 +8,11 @@ Three verbs:
 
 Reports go to stdout in the chosen --format (structured JSON by default,
 byte-identical across runs with the same inputs and seed); errors go to
-stderr. Exit codes: 0 success, 1 property/check failure, 2 usage error or
-problem file or formula parse error, 3 validation error (a negative or
-non-finite --tolerance too), 4 undefined conditional, 5 out of memory,
-6 internal error (any other exception, reported on one line with its
+stderr, one line each (a carriage return or line feed in a message is
+written as \\r or \\n). Exit codes: 0 success, 1 property/check failure,
+2 usage error or problem file or formula parse error, 3 validation error
+(a negative or non-finite --tolerance too), 4 undefined conditional, 5 out
+of memory, 6 internal error (any other exception, reported with its
 class). `EXIT_CODES` maps each error class to its code.
 """
 
@@ -321,10 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=report.FORMATS, default="structured")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tolerance", type=float, default=1e-12)
-        p.add_argument(
-            "--ordering", choices=wde.ORDERINGS, default=None,
-            help="two-projector ordering (default: the file's, else symmetrized)",
-        )
 
     p_eval = sub.add_parser("eval", help="evaluate a problem file")
     p_eval.add_argument("file")
@@ -338,6 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--grid-step", type=float, default=None)
     common(p_search)
 
+    for p in (p_eval, p_search):
+        p.add_argument(
+            "--ordering", choices=wde.ORDERINGS, default=None,
+            help="two-projector ordering (default: the file's, else symmetrized)",
+        )
     return parser
 
 
@@ -386,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
             message = f"out of memory: {message}" if message else "out of memory"
         elif code == EXIT_INTERNAL:
             message = f"internal error ({type(exc).__name__}): {message}"
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {report.one_line(message)}", file=sys.stderr)
         return code
 
 

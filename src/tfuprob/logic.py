@@ -264,15 +264,11 @@ def _rules(table: CompleteStateTable, *fixed: tuple[int, int]) -> TfuValue:
 
 
 def derive_value(prop: int, table: CompleteStateTable) -> TfuValue:
-    """Value of a single proposition from the table, by rules I and II."""
-    value = _rules(table, (prop, 0))
-    if value is F and table._open_count == 0:
-        # Both rules fire. Unreachable through a validated table (it would
-        # be all-F); kept as a guard against hand-built inconsistent inputs.
-        raise ValidationError(
-            f"rules I and II both fire for proposition {prop}: table is inconsistent"
-        )
-    return value
+    """Value of a single proposition from the table, by rules I and II.
+
+    The two rules never both fire: that needs an all-F table, which
+    CompleteStateTable rejects."""
+    return _rules(table, (prop, 0))
 
 
 def derived_values(table: CompleteStateTable) -> tuple[TfuValue, ...]:
@@ -305,8 +301,7 @@ class Literal:
     prop: int
     negated: bool
 
-    def label(self, names: tuple[str, ...] | None = None, n: int | None = None) -> str:
-        names = names or default_names(n if n is not None else self.prop + 1)
+    def label(self, names: tuple[str, ...]) -> str:
         name = names[self.prop]
         return "~" + name if self.negated else name
 
@@ -318,8 +313,8 @@ class Implication:
     antecedent: Literal
     consequent: Literal
 
-    def label(self, names: tuple[str, ...] | None = None, n: int | None = None) -> str:
-        return f"{self.antecedent.label(names, n)} => {self.consequent.label(names, n)}"
+    def label(self, names: tuple[str, ...]) -> str:
+        return f"{self.antecedent.label(names)} => {self.consequent.label(names)}"
 
 
 def detect_nexus(table: CompleteStateTable) -> list[Implication]:

@@ -147,7 +147,10 @@ def _state(payload: dict, where: str) -> ComplexStateVector:
     return ComplexStateVector(_amplitudes(raw, f"{where}.state"))
 
 
-def parse_projector_spec(raw, where: str, dim: int | None = None) -> HermitianProjector:
+def parse_projector_spec(raw, where: str, dim: int) -> HermitianProjector:
+    """The projector a spec describes, for a state of dimension `dim`. A
+    mask, span or qubit register of another size is refused before
+    anything of that size is built."""
     if not isinstance(raw, dict):
         raise ProblemFileError(f"{where}: projector spec must be an object")
     kind = _need(raw, "type", str, where)
@@ -161,10 +164,10 @@ def parse_projector_spec(raw, where: str, dim: int | None = None) -> HermitianPr
         return projector_from_spec(spec, dim=dim)
     if kind == "diagonal":
         mask = _need(raw, "mask", list, where)
-        if dim is not None and len(mask) != dim:
+        if len(mask) != dim:
             raise ProblemFileError(f"{where}: diagonal mask has dim {len(mask)}, expected {dim}")
         # JSON 0 and 1 (or 0.0 and 1.0); true and false are not numbers here
-        if not mask or not all(type(v) in (int, float) and v in (0, 1) for v in mask):
+        if not all(type(v) in (int, float) and v in (0, 1) for v in mask):
             raise ProblemFileError(f"{where}: mask must be a non-empty list of 0/1 values")
         return HermitianProjector.from_diagonal(np.array(mask))
     if kind == "subspace":
@@ -174,7 +177,7 @@ def parse_projector_spec(raw, where: str, dim: int | None = None) -> HermitianPr
         lengths = {len(row) for row in rows}
         if len(lengths) > 1:
             raise ProblemFileError(f"{where}: vectors differ in length ({sorted(lengths)})")
-        if dim is not None and lengths and lengths != {dim}:
+        if lengths and lengths != {dim}:
             raise ValidationError(
                 f"{where}: projector dim {lengths.pop()} does not match required {dim}"
             )

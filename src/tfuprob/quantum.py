@@ -10,7 +10,7 @@ shows for undecidable propositions.
 
 A projector takes one of three forms, fixed by how it was built:
 
-* a diagonal mask (`from_diagonal`, `identity`, the complement of a mask),
+* a diagonal mask (`from_diagonal`, the complement of a mask),
   kept as a 0/1 vector, read as `mask` and applied as one: P s keeps the
   masked entries. Two masks commute exactly. The dense matrix is built
   only on request. This is also the classical engine's projector: a
@@ -135,10 +135,6 @@ class HermitianProjector:
         return self._matrix @ v
 
     @classmethod
-    def identity(cls, dim: int) -> "HermitianProjector":
-        return cls.from_diagonal(np.ones(dim, dtype=bool))
-
-    @classmethod
     def from_diagonal(cls, mask) -> "HermitianProjector":
         mask = np.asarray(mask)
         if mask.ndim != 1 or mask.size == 0:
@@ -200,11 +196,11 @@ def qubit_state(theta: float, phi: float = 0.0) -> np.ndarray:
     )
 
 
-def orthonormalize(vectors: np.ndarray, tol: float = INDEPENDENCE_TOL) -> np.ndarray:
+def orthonormalize(vectors: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt with one re-orthogonalization pass.
 
     Raises when an input vector is linearly dependent on its predecessors:
-    its residual norm falls below tol times its original norm.
+    its residual norm falls below INDEPENDENCE_TOL times its original norm.
     """
     vecs = np.asarray(vectors, dtype=complex).copy()
     k, dim = vecs.shape
@@ -220,10 +216,10 @@ def orthonormalize(vectors: np.ndarray, tol: float = INDEPENDENCE_TOL) -> np.nda
             for j in range(i):
                 v -= np.vdot(basis[j], v) * basis[j]
         residual = float(np.linalg.norm(v))
-        if residual < tol * original:
+        if residual < INDEPENDENCE_TOL * original:
             raise ValidationError(
                 f"span vector {i} is linearly dependent on its predecessors "
-                f"(residual {residual!r} < {tol} * {original!r})"
+                f"(residual {residual!r} < {INDEPENDENCE_TOL} * {original!r})"
             )
         basis[i] = v / residual
     return basis

@@ -197,6 +197,12 @@ def dumps_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def one_line(text: str) -> str:
+    """The text with each carriage return and line feed written as `\\r`
+    and `\\n`, so that it prints as one line."""
+    return text.replace("\r", "\\r").replace("\n", "\\n")
+
+
 def _label_width(label: str, value: str | tuple[list, list[str]]) -> int:
     if isinstance(value, str):
         return len(label)
@@ -206,9 +212,11 @@ def _label_width(label: str, value: str | tuple[list, list[str]]) -> int:
 
 
 def dumps_table(report: dict) -> str:
-    """Aligned two-column text for terminals."""
+    """Aligned two-column text for terminals, one line per value."""
     rows: list[tuple[str, str | tuple[list, list[str]]]] = []
     _flatten(report, "", rows)
+    rows = [(one_line(label), one_line(value) if isinstance(value, str) else value)
+            for label, value in rows]
     width = max((_label_width(label, value) for label, value in rows), default=0)
     lines = []
     for label, value in rows:

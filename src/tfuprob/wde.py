@@ -355,7 +355,6 @@ def search_violation(
     state: ComplexStateVector,
     protocol: str = "paired",
     ordering: str = DEFAULT_ORDERING,
-    threshold: float = SEARCH_THRESHOLD,
     factor: int = 0,
 ) -> ViolationWitness | None:
     """Deterministic scan of a theta grid for an inequality violation.
@@ -363,7 +362,7 @@ def search_violation(
     The kernel locates the best tuple (ties break to the lexicographically
     smallest one); the reported triple is then re-evaluated through the
     dense operator path. A witness is returned only when the violation
-    exceeds `threshold`; otherwise None. An axis with more than
+    exceeds SEARCH_THRESHOLD; otherwise None. An axis with more than
     MAX_GRID_POINTS points is rejected before anything is allocated.
     """
     _check_ordering(ordering)
@@ -389,7 +388,7 @@ def search_violation(
         jab, jbc, jac = _shared_pair_matrices(th_a, th_b, th_c, state, factor, ordering)
 
     (i, j, k), best = kernels.scan_triple(jab, jbc, jac)
-    if best <= threshold:
+    if best <= SEARCH_THRESHOLD:
         return None
 
     thetas = (float(th_a[i]), float(th_b[j]), float(th_c[k]))

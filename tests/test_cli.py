@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import re
@@ -328,14 +329,27 @@ def test_negative_tolerance_exits_3_before_any_work(capsys, monkeypatch, tmp_pat
         (["eval", "FILE", "--tolerance", "-inf"], "argument --tolerance: expected one argument"),
         (["frob"], "argument command: invalid choice: 'frob'"),
         (["eval", "FILE", "--tolerance", "x"], "argument --tolerance: invalid float value: 'x'"),
+        (["check", "--ordering", "sequential"], "unrecognized arguments: --ordering sequential"),
     ],
-    ids=["missing-file", "tolerance-minus-inf", "unknown-verb", "tolerance-x"],
+    ids=["missing-file", "tolerance-minus-inf", "unknown-verb", "tolerance-x", "check-ordering"],
 )
 def test_usage_errors_exit_2_with_one_line(capsys, argv, message):
     argv = [str(FIXTURES / "classical.json") if a == "FILE" else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def _options(verb: str) -> set[str]:
+    (verbs,) = (a for a in tfuprob.cli.PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag for a in verbs.choices[verb]._actions for flag in a.option_strings} - {"-h", "--help"}
+
+
+def test_each_verb_takes_exactly_its_options():
+    common = {"--format", "--seed", "--tolerance"}
+    assert _options("eval") == common | {"--ordering"}
+    assert _options("search") == common | {"--ordering", "--grid-step"}
+    assert _options("check") == common
 
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])
@@ -1288,6 +1302,25 @@ def test_any_other_exception_exits_6_with_one_line(capsys, monkeypatch):
     monkeypatch.setattr(tfuprob.cli, "cmd_check", broken)
     code, out, err = run_cli(capsys, "check")
     assert (code, out, err) == (6, "", "error: internal error (KeyError): 'suites'\n")
+
+
+def test_line_breaks_in_error_messages_are_escaped_onto_one_line(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({
+        "version": 1, "mode": "quantum", "state": [0.6, 0.8],
+        "projectors": {"a\nb": {"type": "diagonal", "mask": [1, 1]},
+                       "c": {"type": "diagonal", "mask": [0, 0]}},
+    }))
+    code, out, err = run_cli(capsys, "eval", str(path))
+    assert (code, out) == (4, "")
+    assert err.startswith('error: cannot evaluate "cond(a\\nb|c)": ') and err.count("\n") == 1
+
+    def broken(args):
+        raise RuntimeError("first\r\nsecond")
+
+    monkeypatch.setattr(tfuprob.cli, "cmd_check", broken)
+    code, out, err = run_cli(capsys, "check")
+    assert (code, out, err) == (6, "", "error: internal error (RuntimeError): first\\r\\nsecond\n")
 
 
 def test_memory_error_has_its_own_exit_code(capsys, monkeypatch):

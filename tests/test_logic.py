@@ -7,12 +7,15 @@ from tfuprob.errors import ValidationError
 from tfuprob.logic import (
     AMBIGUOUS,
     CompleteStateTable,
+    Implication,
+    Literal,
     T,
     F,
     U,
     TfuValue,
     conjoin,
     conjunction_value,
+    default_names,
     derive_value,
     derived_values,
     detect_nexus,
@@ -98,15 +101,6 @@ def test_derive_undecidable_when_neither_rule_fires():
     assert derived_values(table) == (U, U)
 
 
-def test_derive_rules_never_both_fire_on_valid_tables():
-    # both rules firing would need an all-false table, which validation rejects
-    bad = CompleteStateTable.__new__(CompleteStateTable)
-    object.__setattr__(bad, "n", 1)
-    object.__setattr__(bad, "values", (F, F))
-    with pytest.raises(ValidationError, match="both"):
-        derive_value(0, bad)
-
-
 def _independent_rules(table):
     """Quantifier-style restatement of rules I and II, written separately
     from derive_value on purpose."""
@@ -156,7 +150,7 @@ def test_derivation_negation_duality_random_n3():
 def test_nexus_reads_off_false_conjunction_cell():
     table = CompleteStateTable.from_mapping(2, {"++": "F"})
     found = detect_nexus(table)
-    assert [imp.label() for imp in found] == ["p => ~q"]
+    assert [imp.label(default_names(table.n)) for imp in found] == ["p => ~q"]
 
 
 def test_nexus_empty_without_false_cells():
@@ -174,18 +168,25 @@ def test_nexus_skips_pairs_with_decided_members():
 def test_nexus_all_four_polarity_cells():
     # ++ and -- false: p forces ~q and ~p forces q
     table = CompleteStateTable(2, (F, U, U, F))
-    labels = [imp.label() for imp in detect_nexus(table)]
+    labels = [imp.label(default_names(table.n)) for imp in detect_nexus(table)]
     assert labels == ["p => ~q", "~p => q"]
 
 
 def test_nexus_on_three_propositions_uses_marginal_folds():
     # (p,q) cell ++ is false only if both of its refinements are false
     table = CompleteStateTable.from_mapping(3, {"+++": "F", "++-": "F"})
-    labels = [imp.label() for imp in detect_nexus(table)]
+    labels = [imp.label(default_names(table.n)) for imp in detect_nexus(table)]
     assert "p => ~q" in labels
     # a half-covered cell must not register
     partial = CompleteStateTable.from_mapping(3, {"+++": "F"})
-    assert all("p => ~q" != imp.label() for imp in detect_nexus(partial))
+    assert all("p => ~q" != imp.label(default_names(3)) for imp in detect_nexus(partial))
+
+
+def test_nexus_labels_name_both_literals_from_the_names_given():
+    # (p2, p3) cell ++ is false in all four refinements: p2 forces ~p3
+    table = CompleteStateTable.from_mapping(4, {k + "++": "F" for k in ("++", "+-", "-+", "--")})
+    assert detect_nexus(table) == [Implication(Literal(2, False), Literal(3, True))]
+    assert [imp.label(default_names(4)) for imp in detect_nexus(table)] == ["p2 => ~p3"]
 
 
 def test_conjunction_value_resolves_ambiguity_both_ways():

@@ -146,15 +146,17 @@ def test_quantum_needs_projectors():
 
 def test_projector_spec_errors():
     with pytest.raises(ProblemFileError, match="unknown projector type"):
-        parse_projector_spec({"type": "oracle"}, "here")
+        parse_projector_spec({"type": "oracle"}, "here", dim=2)
     with pytest.raises(ProblemFileError, match="must be an object"):
-        parse_projector_spec([1, 0], "here")
+        parse_projector_spec([1, 0], "here", dim=2)
     with pytest.raises(ProblemFileError, match="missing required field 'theta'"):
-        parse_projector_spec({"type": "qubit-direction"}, "here")
+        parse_projector_spec({"type": "qubit-direction"}, "here", dim=2)
     with pytest.raises(ProblemFileError, match="dim"):
         parse_projector_spec({"type": "diagonal", "mask": [1, 0]}, "here", dim=4)
+    with pytest.raises(ProblemFileError, match="mask has dim 0, expected 2"):
+        parse_projector_spec({"type": "diagonal", "mask": []}, "here", dim=2)
     with pytest.raises(ProblemFileError, match="non-empty list of 0/1 values"):
-        parse_projector_spec({"type": "diagonal", "mask": []}, "here")
+        parse_projector_spec({"type": "diagonal", "mask": [1, 2]}, "here", dim=2)
     with pytest.raises(ValidationError, match="here: projector dim 3 does not match required 2"):
         parse_projector_spec({"type": "subspace", "vectors": [[1, 0, 0]]}, "here", dim=2)
 

@@ -7,6 +7,7 @@ awkward values (float extremes, large integers, nested lists, bools,
 strings). Whatever the mutant, loading it either succeeds or raises one of
 the package's errors, and `eval` and `search` in every format either
 succeed with nothing on stderr or exit 2-5 with exactly one stderr line.
+A run that succeeds prints one table line for each row of its csv report.
 
 Generated files are built whole, for each mode and each kind of fault: a
 clean file, unknown fields, a wrong version or mode, a missing field, junk
@@ -96,26 +97,36 @@ def test_mutated_fixtures_load_or_raise_a_package_error(text):
         pass
 
 
-def _assert_contract(argv: list[str], text: str) -> None:
-    """Exit 0 with nothing on stderr, or exit 2-5 with one stderr line and
-    nothing on stdout. The line prints numbers, not numpy reprs, and a csv
-    report parses into label,value rows."""
+def _run(argv: list[str]) -> tuple[int, str, list[str]]:
+    """The exit code, stdout, and stderr lines and warnings of one run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = cli.main(argv)
     # a warning would reach stderr outside this test's capture
-    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    return code, out.getvalue(), err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+def _assert_contract(argv: list[str], text: str) -> None:
+    """Exit 0 with nothing on stderr, or exit 2-5 with one stderr line and
+    nothing on stdout. The line prints numbers, not numpy reprs. On exit 0,
+    the csv report of the same run parses into label,value rows, and its
+    table report has one line per row."""
+    code, out, lines = _run(argv)
     if code == 0:
         assert lines == [], (argv, text)
-        if dict(zip(argv[2::2], argv[3::2])).get("--format") == "csv":  # verb, file, flags
-            rows = csv.reader(io.StringIO(out.getvalue(), newline=""))
-            assert {len(row) for row in rows} == {2}, (argv, text)
+        # the last --format given is the one that counts
+        (csv_code, csv_out, csv_err), (table_code, table_out, table_err) = (
+            _run([*argv, "--format", fmt]) for fmt in ("csv", "table"))
+        assert (csv_code, csv_err, table_code, table_err) == (0, [], 0, []), (argv, text)
+        rows = list(csv.reader(io.StringIO(csv_out, newline="")))
+        assert {len(row) for row in rows} == {2}, (argv, text)
+        assert len(table_out.splitlines()) == len(rows) - 1, (argv, text)
     else:
         assert 2 <= code <= 5 and len(lines) == 1, (argv, text, code, lines)
         assert not re.search(r"\bnp\.\w+\(", lines[0]), (argv, text, lines)
-        assert out.getvalue() == "", (argv, text)
+        assert out == "", (argv, text)
 
 
 @settings(FIXED, max_examples=400)
@@ -291,7 +302,7 @@ def _state(draw, fault: str) -> list:
 
 def _quantum(fault, state):
     dim = max(len(state), 2)
-    names = st.sampled_from(("P", "Q", "R", "a"))
+    names = st.sampled_from(("P", "Q", "R", "a", "a\nb"))
     projectors = st.dictionaries(names, _junk_inside(fault, _spec(fault, dim)),
                                  min_size=1, max_size=3)
     return {"state": st.just(state), "projectors": projectors}

@@ -69,6 +69,13 @@ def test_csv_quotes_fields_that_hold_a_line_break():
     }
 
 
+def test_table_writes_line_breaks_as_escapes():
+    report = {"a\nb": {"v": 0.5, "s": "x\r\ny"}, "k\r": [0.25, 0.5]}
+    assert dumps_table(report).splitlines() == [
+        "a\\nb.s  x\\r\\ny", "a\\nb.v  0.5", "k\\r[0]  0.25", "k\\r[1]  0.5",
+    ]
+
+
 def test_csv_indexes_lists():
     text = dumps_csv({"thetas": [0.0, 0.5]})
     assert "thetas[0],0" in text.splitlines()
@@ -148,6 +155,8 @@ def _oracle_dumps_csv(report):
 def _oracle_dumps_table(report):
     rows = []
     _oracle_flatten(report, "", rows)
+    # the table writes each carriage return and line feed as \r and \n
+    rows = [[text.replace("\r", "\\r").replace("\n", "\\n") for text in row] for row in rows]
     width = max((len(label) for label, _ in rows), default=0)
     return "\n".join(f"{label.ljust(width)}  {text}" for label, text in rows) + "\n"
 
