@@ -70,11 +70,6 @@ class ClassicalDistribution:
         return self.probs.size.bit_length() - 1
 
     @classmethod
-    def uniform(cls, n: int) -> "ClassicalDistribution":
-        dim = state_count(n)
-        return cls(np.full(dim, 1.0 / dim))
-
-    @classmethod
     def from_mapping(cls, n: int, mapping: dict[str, float]) -> "ClassicalDistribution":
         """Build from {'+-': 0.25, ...}; omitted states get probability 0."""
         probs = np.zeros(state_count(n))
@@ -124,13 +119,11 @@ def _mask(p: HermitianProjector, dim: int | None = None) -> np.ndarray:
     return mask
 
 
-def projector_for(target: int | str | Formula, n: int) -> HermitianProjector:
-    """Projector of a proposition index, a formula string, or a parsed formula."""
+def projector_for(target: int | Formula, n: int) -> HermitianProjector:
+    """Projector of a proposition index or a formula tree over n propositions."""
     if isinstance(target, (int, np.integer)):
-        check_prop(int(target), n)
+        check_prop(int(target), n)  # before truth_mask allocates 2^n entries
         target = formulas.Var(int(target))
-    elif isinstance(target, str):
-        target = formulas.parse(target, n)
     return HermitianProjector.from_diagonal(formulas.truth_mask(target, n))
 
 

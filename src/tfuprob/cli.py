@@ -8,12 +8,12 @@ Three verbs:
 
 Reports go to stdout in the chosen --format (structured JSON by default,
 byte-identical across runs with the same inputs and seed); errors go to
-stderr, one line each (a carriage return or line feed in a message is
-written as \\r or \\n). Exit codes: 0 success, 1 property/check failure,
-2 usage error or problem file or formula parse error, 3 validation error
-(a negative or non-finite --tolerance too), 4 undefined conditional, 5 out
-of memory, 6 internal error (any other exception, reported with its
-class). `EXIT_CODES` maps each error class to its code.
+stderr, one line each (each line break in a message is written as an
+escape, such as \\r or \\n). Exit codes: 0 success, 1 property/check
+failure, 2 usage error or problem file parse error, 3 validation error (a
+negative or non-finite --tolerance too), 4 undefined conditional, 5 out of
+memory, 6 internal error (any other exception, reported with its class).
+`EXIT_CODES` maps each error class to its code.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 
 from . import __version__, checks, classical, logic, measures, quantum, report, wde
 from .errors import (
-    FormulaError,
     ProblemFileError,
     TfuProbError,
     UndefinedConditionalError,
@@ -356,7 +355,6 @@ PARSER = build_parser()
 EXIT_CODES = {
     argparse.ArgumentError: EXIT_PARSE,
     ProblemFileError: EXIT_PARSE,
-    FormulaError: EXIT_PARSE,
     ValidationError: EXIT_VALIDATION,
     UndefinedConditionalError: EXIT_UNDEFINED,
     TfuProbError: EXIT_VALIDATION,

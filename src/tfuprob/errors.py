@@ -14,10 +14,6 @@ class ProblemFileError(TfuProbError):
     """Problem file is malformed: bad JSON, missing or unknown fields."""
 
 
-class FormulaError(TfuProbError):
-    """A propositional formula string could not be parsed."""
-
-
 class ValidationError(TfuProbError):
     """A domain object violates one of its construction invariants."""
 

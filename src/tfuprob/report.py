@@ -197,10 +197,18 @@ def dumps_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# each character at which str.splitlines breaks a line, and its escape
+_LINE_BREAKS = str.maketrans({
+    "\n": "\\n", "\r": "\\r", "\x0b": "\\x0b", "\x0c": "\\x0c", "\x1c": "\\x1c",
+    "\x1d": "\\x1d", "\x1e": "\\x1e", "\x85": "\\x85", "\u2028": "\\u2028", "\u2029": "\\u2029",
+})
+
+
 def one_line(text: str) -> str:
-    """The text with each carriage return and line feed written as `\\r`
-    and `\\n`, so that it prints as one line."""
-    return text.replace("\r", "\\r").replace("\n", "\\n")
+    """The text with each line break written as an escape (`\\r`, `\\n`,
+    `\\x0b`, ..., `\\u2029`), so that it prints as one line."""
+    # every line break is unprintable, and most text is printable
+    return text if text.isprintable() else text.translate(_LINE_BREAKS)
 
 
 def _label_width(label: str, value: str | tuple[list, list[str]]) -> int:

@@ -17,9 +17,12 @@ from tfuprob.classical import (
     state_direction,
 )
 from tfuprob.errors import UndefinedConditionalError, ValidationError
-import tfuprob.formulas
-from tfuprob.formulas import Var, parse, truth_mask
+from tfuprob.formulas import And, Not, Or, Var, truth_mask
 from tfuprob.quantum import HermitianProjector, QubitDirection, SubspaceSpan, projector_from_spec
+
+
+P, Q, R = Var(0), Var(1), Var(2)
+UNIFORM_2 = ClassicalDistribution([0.25] * 4)
 
 
 def _random_distribution(rng, n):
@@ -59,7 +62,7 @@ def test_state_vector_rejects_nan():
 
 
 def test_distribution_probs_read_only():
-    dist = ClassicalDistribution.uniform(2)
+    dist = UNIFORM_2
     with pytest.raises(ValueError):
         dist.probs[0] = 0.9
 
@@ -79,7 +82,7 @@ def test_state_vector_entries_are_sqrt_probs():
 
 
 def test_projector_diagonal_matches_truth_mask():
-    formula = parse("p & ~q", 2)
+    formula = And(P, Not(Q))
     proj = projector_for(formula, 2)
     np.testing.assert_array_equal(proj.mask, truth_mask(formula, 2))
     np.testing.assert_array_equal(proj.matrix, np.diag([0.0, 1.0, 0.0, 0.0]))
@@ -90,16 +93,16 @@ def test_probability_is_quadratic_form():
     rng = np.random.default_rng(5)
     dist = _random_distribution(rng, 3)
     vec = build_state_vector(dist)
-    proj = projector_for("p | (q & ~r)", 3)
+    proj = projector_for(Or(P, And(Q, Not(R))), 3)
     direct = float((vec.components @ proj.matrix @ vec.components).real)
     assert abs(probability(proj, vec) - direct) < 1e-12
 
 
-@pytest.mark.parametrize("text", ["p", "~q", "p & q", "p | ~q", "~(p & q)"])
-def test_probability_matches_sum_oracle(text):
+@pytest.mark.parametrize("formula", [P, Not(Q), And(P, Q), Or(P, Not(Q)), Not(And(P, Q))],
+                         ids=["p", "~q", "p & q", "p | ~q", "~(p & q)"])
+def test_probability_matches_sum_oracle(formula):
     rng = np.random.default_rng(17)
     for n in (2, 3):
-        formula = parse(text, n)
         proj = projector_for(formula, n)
         for _ in range(25):
             dist = _random_distribution(rng, n)
@@ -111,8 +114,8 @@ def test_complement_and_union_identities():
     rng = np.random.default_rng(23)
     dist = _random_distribution(rng, 3)
     vec = build_state_vector(dist)
-    p = projector_for("p", 3)
-    q = projector_for("q | r", 3)
+    p = projector_for(0, 3)
+    q = projector_for(Or(Q, R), 3)
     assert abs(probability(negation_op(p), vec) - (1 - probability(p, vec))) < 1e-12
     union = probability(p, vec) + probability(q, vec) - probability(and_op(p, q), vec)
     assert abs(probability(or_op(p, q), vec) - union) < 1e-12
@@ -120,12 +123,12 @@ def test_complement_and_union_identities():
 
 def test_conditional_matches_ratio_oracle():
     rng = np.random.default_rng(31)
-    p = projector_for("p", 3)
-    q = projector_for("q & ~r", 3)
+    p = projector_for(0, 3)
+    q = projector_for(And(Q, Not(R)), 3)
     for _ in range(50):
         dist = _random_distribution(rng, 3)
         vec = build_state_vector(dist)
-        want = _sum_oracle(dist, parse("p & q & ~r", 3)) / _sum_oracle(dist, parse("p", 3))
+        want = _sum_oracle(dist, And(And(P, Q), Not(R))) / _sum_oracle(dist, P)
         assert abs(conditional(q, p, vec) - want) < 1e-12
 
 
@@ -133,15 +136,15 @@ def test_conditional_on_null_event_raises():
     dist = ClassicalDistribution([0.5, 0.5, 0.0, 0.0])  # ~p carries no mass
     vec = build_state_vector(dist)
     with pytest.raises(UndefinedConditionalError, match="probability"):
-        conditional(projector_for("q", 2), projector_for("~p", 2), vec)
+        conditional(projector_for(1, 2), projector_for(Not(P), 2), vec)
 
 
 def test_cos2_identities():
     # cos^2 between the state ray and a projected ray recovers probability;
     # between two projected rays it recovers the two-sided conditional product
     rng = np.random.default_rng(41)
-    p = projector_for("p", 2)
-    q = projector_for("q", 2)
+    p = projector_for(0, 2)
+    q = projector_for(1, 2)
     for _ in range(30):
         dist = _random_distribution(rng, 2)
         vec = build_state_vector(dist)
@@ -158,47 +161,28 @@ def test_cos2_identities():
 def test_projected_direction_of_null_projection_raises():
     vec = build_state_vector(ClassicalDistribution([1.0, 0.0]))
     with pytest.raises(ValidationError, match="no direction"):
-        projected_direction(projector_for("~p", 1), vec)
-
-
-def test_projector_accepts_strings_and_indices():
-    a = projector_for("p & q", 2)
-    b = projector_for(parse("p & q", 2), 2)
-    np.testing.assert_array_equal(a.mask, b.mask)
-    np.testing.assert_array_equal(
-        projector_for(1, 2).mask, truth_mask(parse("q", 2), 2)
-    )
+        projected_direction(projector_for(Not(P), 1), vec)
 
 
 def test_projector_of_an_index_is_the_mask_of_its_variable():
     for n in range(1, 13):
         for i in range(n):
             np.testing.assert_array_equal(projector_for(i, n).mask, truth_mask(Var(i), n))
-    for i, n in ((2, 2), (-1, 2), (0, 0)):
-        with pytest.raises(ValidationError, match="out of range"):
-            projector_for(i, n)
-
-
-def test_projector_of_a_string_builds_one_mask(monkeypatch):
-    calls = []
-
-    def counted(formula, n):
-        calls.append(formula)
-        return truth_mask(formula, n)
-
-    monkeypatch.setattr(tfuprob.formulas, "truth_mask", counted)
-    projector_for("p & ~(q | r)", 3)
-    assert len(calls) == 1
+    for i, n in ((2, 2), (-1, 2), (0, 0), (5, 3)):
+        # an index and its Var fail alike, inside a formula too
+        for target in (i, Var(i), And(P, Var(i))):
+            with pytest.raises(ValidationError, match=f"^proposition index {i} out of range for n={n}$"):
+                projector_for(target, n)
 
 
 def test_projector_dimension_mismatch():
-    vec = build_state_vector(ClassicalDistribution.uniform(2))
+    vec = build_state_vector(UNIFORM_2)
     with pytest.raises(ValidationError, match="does not match"):
-        probability(projector_for("p", 3), vec)
+        probability(projector_for(0, 3), vec)
 
 
 def test_propositions_are_mask_form_hermitian_projectors():
-    p, q = projector_for("p", 2), projector_for("q", 2)
+    p, q = projector_for(0, 2), projector_for(1, 2)
     for proj in (p, negation_op(p), and_op(p, q), or_op(p, q)):
         assert isinstance(proj, HermitianProjector)
         assert proj.mask is not None and proj.mask.dtype == bool
@@ -227,6 +211,6 @@ _CALLS = {
 @pytest.mark.parametrize("kind", sorted(_DENSE))
 def test_dense_projector_is_a_validation_error(call, kind):
     # the classical engine reads a diagonal mask; a dense projector has none
-    s = build_state_vector(ClassicalDistribution.uniform(2))
+    s = build_state_vector(UNIFORM_2)
     with pytest.raises(ValidationError, match="diagonal mask"):
-        _CALLS[call](_DENSE[kind], projector_for("p", 2), s)
+        _CALLS[call](_DENSE[kind], projector_for(0, 2), s)

@@ -518,7 +518,7 @@ def test_readme_library_use_block_runs_and_prints_its_values():
     "error, code",
     [
         (tfuprob.errors.ProblemFileError("x"), 2),
-        (tfuprob.errors.FormulaError("x"), 2),
+        (argparse.ArgumentError(None, "x"), 2),
         (tfuprob.errors.ValidationError("x"), 3),
         (tfuprob.errors.UndefinedConditionalError("x"), 4),
         (tfuprob.errors.TfuProbError("x"), 3),
@@ -1305,15 +1305,18 @@ def test_any_other_exception_exits_6_with_one_line(capsys, monkeypatch):
 
 
 def test_line_breaks_in_error_messages_are_escaped_onto_one_line(capsys, monkeypatch, tmp_path):
-    path = tmp_path / "names.json"
-    path.write_text(json.dumps({
-        "version": 1, "mode": "quantum", "state": [0.6, 0.8],
-        "projectors": {"a\nb": {"type": "diagonal", "mask": [1, 1]},
-                       "c": {"type": "diagonal", "mask": [0, 0]}},
-    }))
-    code, out, err = run_cli(capsys, "eval", str(path))
-    assert (code, out) == (4, "")
-    assert err.startswith('error: cannot evaluate "cond(a\\nb|c)": ') and err.count("\n") == 1
+    # str.splitlines breaks at U+2028 too, not only at \r and \n
+    for name, escaped in (("a\nb", "a\\nb"), ("a\u2028b", "a\\u2028b")):
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps({
+            "version": 1, "mode": "quantum", "state": [0.6, 0.8],
+            "projectors": {name: {"type": "diagonal", "mask": [1, 1]},
+                           "c": {"type": "diagonal", "mask": [0, 0]}},
+        }))
+        code, out, err = run_cli(capsys, "eval", str(path))
+        assert (code, out) == (4, "")
+        assert err.startswith(f'error: cannot evaluate "cond({escaped}|c)": ')
+        assert len(err.splitlines()) == err.count("\n") == 1
 
     def broken(args):
         raise RuntimeError("first\r\nsecond")
@@ -1321,6 +1324,16 @@ def test_line_breaks_in_error_messages_are_escaped_onto_one_line(capsys, monkeyp
     monkeypatch.setattr(tfuprob.cli, "cmd_check", broken)
     code, out, err = run_cli(capsys, "check")
     assert (code, out, err) == (6, "", "error: internal error (RuntimeError): first\\r\\nsecond\n")
+
+
+def test_a_vertical_tab_in_a_key_is_escaped_in_its_table_row(capsys, tmp_path):
+    tree = json.loads((FIXTURES / "classical.json").read_text())
+    path = tmp_path / "key.json"
+    path.write_text(json.dumps({**tree, "k\x0b": 1}))
+    code, out, err = run_cli(capsys, "eval", str(path), "--format", "table")
+    assert (code, err) == (0, "")
+    assert "input.k\\x0b" in out and "\x0b" not in out
+    assert len(out.splitlines()) == out.count("\n")
 
 
 def test_memory_error_has_its_own_exit_code(capsys, monkeypatch):

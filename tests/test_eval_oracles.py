@@ -320,7 +320,7 @@ def test_slab_reads_are_the_mask_gathers(n):
 
 
 def test_projection_checks_dimensions():
-    s = classical.build_state_vector(classical.ClassicalDistribution.uniform(2))
+    s = classical.build_state_vector(classical.ClassicalDistribution([0.25] * 4))
     wide = classical.projector_for(0, 3)
     with pytest.raises(ValidationError, match="dimensions differ"):
         classical.project(wide, s)

@@ -171,7 +171,7 @@ def test_gap_vanishes_without_undecided_mass():
 
 def test_augmented_space_needs_even_propositions():
     with pytest.raises(ValidationError, match="even"):
-        DecidabilityAugmentedSpace(ClassicalDistribution.uniform(3))
+        DecidabilityAugmentedSpace(ClassicalDistribution([0.125] * 8))
 
 
 def test_augmented_space_hand_case():

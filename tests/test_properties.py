@@ -184,7 +184,10 @@ H = math.sqrt(0.5)
 PI = math.pi
 JUNK = (None, True, -1, 0, 1.5, 1e308, 10 ** 400, float("nan"), "", "x", [], {}, [[]],
         [[[0.5]]], {"a": [1, {"b": []}]}, [1, [0, [1.0]]])
-UNKNOWN = ("extra", "N", "Version", "probs", "state", "items", "grid", "k\r")
+# the characters other than \r and \n at which str.splitlines breaks a line
+BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+UNKNOWN = ("extra", "N", "Version", "probs", "state", "items", "grid", "k\r",
+           *(f"k{ch}" for ch in BREAKS))
 CAPS = {"tfu-table": 20, "classical": 20, "tfu-measure": 12}
 STATES = ([0.0, H, -H, 0.0], [1.0, 0.0], [H, H], [[H, 0.0], [0.0, H]], [0.6, 0.8, 0.0, 0.0],
           [1, 0, 0, 0], [[0.5, 0.0]] * 4, [[0.5, 0.0], 0.5, [0.0, 0.5], -0.5],
@@ -302,7 +305,7 @@ def _state(draw, fault: str) -> list:
 
 def _quantum(fault, state):
     dim = max(len(state), 2)
-    names = st.sampled_from(("P", "Q", "R", "a", "a\nb"))
+    names = st.sampled_from(("P", "Q", "R", "a", "a\nb", *(f"a{ch}b" for ch in BREAKS)))
     projectors = st.dictionaries(names, _junk_inside(fault, _spec(fault, dim)),
                                  min_size=1, max_size=3)
     return {"state": st.just(state), "projectors": projectors}

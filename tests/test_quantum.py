@@ -197,11 +197,11 @@ def test_diagonal_sector_reduces_to_classical():
             dist = ClassicalDistribution(w / w.sum())
             cvec = build_state_vector(dist)
             qvec = ComplexStateVector(cvec.components.astype(complex))
-            p = projector_for("p", n)
+            p = projector_for(0, n)
             qp = HermitianProjector.from_diagonal(p.mask)
             assert abs(born(qp, qvec) - classical_probability(p, cvec)) < 1e-12
             if n >= 2:
-                q = projector_for("q", n)
+                q = projector_for(1, n)
                 qq = HermitianProjector.from_diagonal(q.mask)
                 want = classical_conditional(q, p, cvec)
                 assert abs(sequential_conditional(qq, qp, qvec) - want) < 1e-12

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tfuprob.errors import ValidationError
-from tfuprob.report import dumps_canonical, dumps_csv, dumps_table, format_float, render
+from tfuprob.report import dumps_canonical, dumps_csv, dumps_table, format_float, one_line, render
 
 
 def test_float_formatting():
@@ -74,6 +74,23 @@ def test_table_writes_line_breaks_as_escapes():
     assert dumps_table(report).splitlines() == [
         "a\\nb.s  x\\r\\ny", "a\\nb.v  0.5", "k\\r[0]  0.25", "k\\r[1]  0.5",
     ]
+
+
+@pytest.mark.parametrize("char, escape", [
+    ("\n", "\\n"), ("\r", "\\r"), ("\x0b", "\\x0b"), ("\x0c", "\\x0c"), ("\x1c", "\\x1c"),
+    ("\x1d", "\\x1d"), ("\x1e", "\\x1e"), ("\x85", "\\x85"), ("\u2028", "\\u2028"),
+    ("\u2029", "\\u2029"),
+])
+def test_one_line_escapes_every_line_break_of_splitlines(char, escape):
+    assert one_line(f"a{char}b") == f"a{escape}b"
+    assert f"a{char}b".splitlines() == ["a", "b"]
+    assert dumps_table({f"k{char}": "v", "s": f"x{char}"}).splitlines() == [
+        f"k{escape}  v", f"s{' ' * len(escape)}  x{escape}"]
+
+
+def test_one_line_keeps_other_text():
+    for text in ("plain", "θ = π/4", "tab\there", "nul\x00", "\x1f\x7f"):
+        assert one_line(text) == text
 
 
 def test_csv_indexes_lists():
@@ -155,8 +172,10 @@ def _oracle_dumps_csv(report):
 def _oracle_dumps_table(report):
     rows = []
     _oracle_flatten(report, "", rows)
-    # the table writes each carriage return and line feed as \r and \n
-    rows = [[text.replace("\r", "\\r").replace("\n", "\\n") for text in row] for row in rows]
+    # the table writes each character at which str.splitlines breaks a
+    # line as its Python escape
+    rows = [["".join(repr(ch)[1:-1] if len(f"a{ch}b".splitlines()) == 2 else ch for ch in text)
+             for text in row] for row in rows]
     width = max((len(label) for label, _ in rows), default=0)
     return "\n".join(f"{label.ljust(width)}  {text}" for label, text in rows) + "\n"
 
@@ -222,7 +241,8 @@ BLOCK_SIZES = (0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001)
 @pytest.mark.parametrize("fmt", ["csv", "table"])
 def test_float_blocks_match_per_row_rendering(fmt, monkeypatch):
     rng = np.random.default_rng(89)
-    labels = ["plain", "a,b", 'say "hi"', "100%", "%d%s%%", 'x,"%.12g"', "", "a\nb", "k\r"]
+    labels = ["plain", "a,b", 'say "hi"', "100%", "%d%s%%", 'x,"%.12g"', "", "a\nb", "k\r", "k\x0b",
+              "k\u2028"]
     for size in BLOCK_SIZES:
         for label in labels:
             report = {label: _floats(rng, size), "z": {"short": 0.5}}

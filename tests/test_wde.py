@@ -69,7 +69,7 @@ def test_classical_never_violates():
 
 def test_classical_requires_three_propositions():
     with pytest.raises(ValidationError, match="n=2"):
-        wde_classical(ClassicalDistribution.uniform(2))
+        wde_classical(ClassicalDistribution([0.25] * 4))
 
 
 def test_population_validation():
