@@ -9,9 +9,10 @@ maximize
 over the full tuple grid. (The parenthesization is deliberate: IEEE
 addition is commutative, so tuples whose left-hand terms swap roles under
 a mirror symmetry of the configuration evaluate bit-identically, and the
-lexicographic tie-break below stays meaningful.) Fine grids mean 1e7-1e8
-tuples, the one genuinely hot loop in the package; everything else is
-dense algebra in dimension at most 64.
+lexicographic tie-break below stays meaningful.) A search grid holds up to
+2048**3 tuples (wde.MAX_GRID_POINTS per axis), the one genuinely hot loop
+in the package; everything else is dense algebra in dimension at most
+quantum.MAX_DIM = 1024.
 
 The scan never materializes the whole (na, nb, nc) score cube. A cube of
 at most _SINGLE_BLOCK_BYTES is scored in one block. A larger one is cut
@@ -32,14 +33,16 @@ three sheets are finite, one pass first bounds every block of tiles
     U = max over k of  max_I Jac[i, k] - (min_IxJ Jab[i, j] + min_J Jbc[j, k])
 
 The block of highest U is scored first; its best score F is reached by
-some tuple, so the maximum of the cube is at least F. The walk then skips
-a tile whose block has U < F (it holds no maximum) or U <= the best so far
-(it could at most tie, and a tie goes to the earlier tuple). The skip is
-exact, not a heuristic: IEEE-754 rounding is monotone, so fl(b + c) never
-exceeds fl(b' + c') when b <= b' and c <= c', and fl(a - s) never falls as
-a rises or s falls; every tuple of the block therefore scores at most U,
-overflow included. With an infinity or NaN in a sheet, inf - inf can make
-a NaN that no bound sees, so no tile is skipped.
+some tuple, so the maximum of the cube is at least F. A block with U < F
+holds no maximum: the walk takes the surviving blocks, U >= F, from
+np.nonzero and visits only their tiles, still in C order. It also skips a
+surviving tile whose U <= the best so far (it could at most tie, and a tie
+goes to the earlier tuple). Each skip is exact, not a heuristic: IEEE-754
+rounding is monotone, so fl(b + c) never exceeds fl(b' + c') when b <= b'
+and c <= c', and fl(a - s) never falls as a rises or s falls; every tuple
+of the block therefore scores at most U, overflow included. With an
+infinity or NaN in a sheet, inf - inf can make a NaN that no bound sees,
+so every tile is walked and none is skipped.
 """
 
 from __future__ import annotations
@@ -93,6 +96,28 @@ def _score_tile(jab, jbc, jac, buf, i0, i1, j0, j1):
     return v
 
 
+def _tiles(na, nb, rows, cols, bounds, block_rows, floor):
+    """(i0, j0, bound) of each tile the walk may score, in C order.
+
+    Unbounded (bounds is None), every tile, with bound None. Bounded, only
+    the tiles of blocks whose bound reaches the floor.
+    """
+    if bounds is None:
+        for i0 in range(0, na, rows):
+            for j0 in range(0, nb, cols):
+                yield i0, j0, None
+        return
+    for block_i, survivors in enumerate(bounds >= floor):
+        block_j = np.nonzero(survivors)[0]
+        if block_j.size == 0:
+            continue
+        j0s = (block_j * cols).tolist()
+        row_bounds = bounds[block_i, block_j].tolist()
+        for i0 in range(block_i * block_rows, min((block_i + 1) * block_rows, na)):
+            for j0, bound in zip(j0s, row_bounds):
+                yield i0, j0, bound
+
+
 def _scan_blocks(jab, jbc, jac):
     na, nb = jab.shape
     nc = jac.shape[1]
@@ -111,26 +136,20 @@ def _scan_blocks(jab, jbc, jac):
             np.max(_score_tile(jab, jbc, jac, buf, i, i + 1, j0, j1))
             for i in range(i0, i_end)
         )
-        bounds = bounds.tolist()
     best, arg = -np.inf, (0, 0, 0)
-    for i0 in range(0, na, rows):
-        i1 = min(i0 + rows, na)
-        row_bounds = None if bounds is None else bounds[i0 // block_rows]
-        for j0 in range(0, nb, cols):
-            if row_bounds is not None:
-                bound = row_bounds[j0 // cols]
-                if bound <= best or bound < floor:
-                    continue
-            j1 = min(j0 + cols, nb)
-            v = _score_tile(jab, jbc, jac, buf, i0, i1, j0, j1)
-            flat = int(np.argmax(v))  # first occurrence within the tile
-            value = v.flat[flat]
-            if value > best or np.isnan(value):
-                i, rem = divmod(flat, (j1 - j0) * nc)
-                j, k = divmod(rem, nc)
-                best, arg = value, (i0 + i, j0 + j, k)
-                if np.isnan(value):  # argmax over the dense cube stops at its first NaN
-                    return arg, float(best)
+    for i0, j0, bound in _tiles(na, nb, rows, cols, bounds, block_rows, floor):
+        if bound is not None and bound <= best:
+            continue
+        i1, j1 = min(i0 + rows, na), min(j0 + cols, nb)
+        v = _score_tile(jab, jbc, jac, buf, i0, i1, j0, j1)
+        flat = int(np.argmax(v))  # first occurrence within the tile
+        value = v.flat[flat]
+        if value > best or np.isnan(value):
+            i, rem = divmod(flat, (j1 - j0) * nc)
+            j, k = divmod(rem, nc)
+            best, arg = value, (i0 + i, j0 + j, k)
+            if np.isnan(value):  # argmax over the dense cube stops at its first NaN
+                return arg, float(best)
     return arg, float(best)
 
 

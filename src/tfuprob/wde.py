@@ -325,28 +325,35 @@ def _direction_weights(thetas: np.ndarray, state: ComplexStateVector, factor: in
 
 
 def _overlap_table(th_x, th_y) -> np.ndarray:
-    """|<d(y)|d(x)>|^2 = cos^2((x - y)/2) for every pair (phi = 0)."""
-    return np.cos(np.subtract.outer(th_x, th_y) / 2.0) ** 2
+    """|<d(y)|d(x)>|^2 = cos^2((x - y)/2) for every pair (phi = 0), built from
+    the direction amplitudes as (cos(x/2) cos(y/2) + sin(x/2) sin(y/2))^2:
+    O(n) sines and cosines, not one cosine per pair."""
+    o = np.multiply.outer(np.cos(th_x / 2.0), np.cos(th_y / 2.0))
+    o += np.multiply.outer(np.sin(th_x / 2.0), np.sin(th_y / 2.0))
+    o *= o
+    return o
 
 
 def _shared_pair_matrices(th_a, th_b, th_c, state, factor, ordering):
     # Rank-one algebra: ||P_y P_x s||^2 = |<d_y|d_x>|^2 * <s|P_x|s>, and the
     # complement of a qubit direction is the antipodal direction, so
     # overlap and weight of "not b" are 1 - overlap and 1 - weight of b.
+    # The weights are applied in place, as overlap * 0.5 * (w_x + w_y).
     wa = _direction_weights(th_a, state, factor)
     wb = _direction_weights(th_b, state, factor)
     wc = _direction_weights(th_c, state, factor)
-    o_ab = _overlap_table(th_a, th_b)
-    o_bc = _overlap_table(th_b, th_c)
-    o_ac = _overlap_table(th_a, th_c)
+    jab = _overlap_table(th_a, th_b)
+    jbc = _overlap_table(th_b, th_c)
+    np.subtract(1.0, jbc, out=jbc)
+    jac = _overlap_table(th_a, th_c)
     if ordering == "sequential":
-        jab = o_ab * wa[:, None]
-        jbc = (1.0 - o_bc) * (1.0 - wb)[:, None]
-        jac = o_ac * wa[:, None]
+        jab *= wa[:, None]
+        jbc *= (1.0 - wb)[:, None]
+        jac *= wa[:, None]
     else:
-        jab = o_ab * 0.5 * (wa[:, None] + wb[None, :])
-        jbc = (1.0 - o_bc) * 0.5 * ((1.0 - wb)[:, None] + wc[None, :])
-        jac = o_ac * 0.5 * (wa[:, None] + wc[None, :])
+        for sheet, wx, wy in ((jab, wa, wb), (jbc, 1.0 - wb, wc), (jac, wa, wc)):
+            sheet *= 0.5
+            sheet *= np.add.outer(wx, wy)
     return jab, jbc, jac
 
 

@@ -15,8 +15,10 @@ import tfuprob.checks
 import tfuprob.classical
 import tfuprob.cli
 import tfuprob.errors
+import tfuprob.kernels
 import tfuprob.quantum
 import tfuprob.report
+import tfuprob.wde
 from tfuprob.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -1075,7 +1077,10 @@ def _run_digest(capsys, *argv) -> str:
 # and `cli` evaluated every mode from one table. Re-taken for the files
 # whose tests are projectors under `search`, which now refuses them, and
 # for "shared-directions-and-projectors", which gives both kinds of test
-# and is now refused by both verbs.
+# and is now refused by both verbs. Re-taken for the four `search` runs
+# whose witness is one of two exactly tied tuples (see
+# test_search_witness_is_one_of_two_tied_tuples) when the shared overlap
+# sheets came to be built from the direction amplitudes.
 GOLDEN_WDE_SHA256 = {
     ("wde_classical.json", "eval", "structured"): "42bf28e814ce1fc62a12599e46f1c7d45f08fba1ca362bce55a4a46ea1729232",
     ("wde_classical.json", "eval", "csv"): "c15b8ead67d6649b50ca7b3d55926bb65ca525d1fef379b30d122f39dc073692",
@@ -1134,9 +1139,9 @@ GOLDEN_WDE_SHA256 = {
     ("shared-1q", "eval", 0): "29a65cb0dd69ce30805371900c8000138dd3615dbc07003df216a20ada945d75",
     ("shared-1q", "eval", 1): "356e9a6d15a18d42afb8ffb00543f1ee08a9a158e7b2ff3a05ab3c01895aec0a",
     ("shared-1q", "eval", 2): "6f45cb9fea5126325129ff4c1eddfc11d264689798080161804720e233d3ef7b",
-    ("shared-1q", "search", 0): "e926e351ad9439fa3445c6b0de4ec8536627aba6433479e02d436227b7c72414",
-    ("shared-1q", "search", 1): "c10da58a22905c7e0fb953d53b68a58d48e30669a1e6c800aab5f14668cc09db",
-    ("shared-1q", "search", 2): "ac4a17b6d2dca977fed10b16ad2d324e9ad92f20b67ea48646673660d0318e64",
+    ("shared-1q", "search", 0): "f257d56ddb9ae6d724db7fe07719704b0b82bcce57899a7b2e56bac6f21d64ef",
+    ("shared-1q", "search", 1): "b8e5b4647491ef9d1b9f22f4854bca4b49cb921413b6497a9f5d4e1df9c9e1e5",
+    ("shared-1q", "search", 2): "8c43d7364ca66305f2ce05bfb95677cac03bb94c1a0d74f48891f2588891ffe5",
     ("shared-2q-grids", "eval", 0): "2e3815d52547f96c8c68f02e8bf4f5f1ea761eece5e8773a6e1dd4a8c7e3f628",
     ("shared-2q-grids", "eval", 1): "2e3815d52547f96c8c68f02e8bf4f5f1ea761eece5e8773a6e1dd4a8c7e3f628",
     ("shared-2q-grids", "eval", 2): "65763d82d88f361c601b23d52b8c49c4e7961e752af615afe0364651a67d2518",
@@ -1177,7 +1182,7 @@ GOLDEN_WDE_SHA256 = {
     ("shared-ordering-null", "eval", 1): "d127783de4aeec117371e44498ed2fd702e390a51487790333ca9dbd6e894f58",
     ("shared-ordering-null", "eval", 2): "3330a6947d95355a5b635881a048d0c3c9a34542c7f48dff8e7f030ae9eae61a",
     ("shared-ordering-null", "search", 0): "8b7d2c9eed96f5cf8e71d6e056c16205effb1ab75c5ae0d42cc573c1aacaeb03",
-    ("shared-ordering-null", "search", 1): "67ec114c78df220a702c273eafc4c892413deea0eb2d4bcf0732475bd1e6278f",
+    ("shared-ordering-null", "search", 1): "30d6ebe718366176e0804ad6ff35535842781f5407b2d0b45c7c931356e9d569",
     ("shared-ordering-null", "search", 2): "37d847975a632d1ca84903963341cc1825968312e2cd5d5bf23cdbdcb875f1d3",
     ("shared-projectors-bad-factor", "eval", 0): "bf9e6d8041bc7cd72c65d6694e0059f1e04daebc4515d5b66e48b697b3dea091",
     ("shared-projectors-bad-factor", "eval", 1): "dbe25aa9b951808dc26eec31cc4ad253c6272334d2e2cda25e4bc4873ef41639",
@@ -1203,6 +1208,84 @@ def test_wde_edge_output_bytes_are_pinned(capsys, tmp_path, name, verb):
     path.write_text(json.dumps(WDE_EDGE_FILES[name]))
     got = [_run_digest(capsys, verb, str(path), *flags) for flags in WDE_EDGE_FLAGS]
     assert got == [GOLDEN_WDE_SHA256[name, verb, pos] for pos in range(len(WDE_EDGE_FLAGS))]
+
+
+# On the 5-point pi/4 grid, theta = 0 and theta = pi are complementary
+# directions, so these searches have two tuples that tie exactly in real
+# arithmetic, and rounding in the pair sheets picks between them. Flags
+# 0 and 2 of "shared-1q" run the same symmetrized search.
+@pytest.mark.parametrize("name, pos, ordering, tuples", [
+    ("shared-1q", 0, "symmetrized", ((2, 4, 3), (3, 0, 2))),
+    ("shared-1q", 1, "sequential", ((1, 4, 2), (3, 0, 2))),
+    ("shared-1q", 2, "symmetrized", ((2, 4, 3), (3, 0, 2))),
+    ("shared-ordering-null", 1, "sequential", ((1, 4, 2), (3, 0, 2))),
+])
+def test_search_witness_is_one_of_two_tied_tuples(capsys, tmp_path, name, pos, ordering, tuples):
+    payload = WDE_EDGE_FILES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "search", str(path), *WDE_EDGE_FLAGS[pos], "--format", "structured")
+    assert code == 0, err
+    grid = tfuprob.wde.AngleGrid(**_WDE_GRID).values()
+    thetas = json.loads(out)["results"]["witness"]["thetas"]
+    found = tuple(int(np.argmin(abs(grid - t))) for t in thetas)
+    assert np.allclose(grid[list(found)], thetas, rtol=0, atol=1e-11)
+    assert found in tuples
+    state = tfuprob.quantum.ComplexStateVector(
+        [complex(*z) if isinstance(z, list) else z for z in payload["state"]])
+    factor = payload.get("factor", 0)
+    violations = [
+        tfuprob.wde.wde_quantum(*(tfuprob.quantum.QubitDirection(grid[x]) for x in t),
+                                state, ordering, "shared", factor).violation
+        for t in tuples
+    ]
+    assert abs(violations[0] - violations[1]) <= 1e-15
+
+
+def _axis(start: float, step: float, points: int) -> dict:
+    return {"start": start, "stop": start + step * (points - 1), "step": step}
+
+
+# `search` files whose score cubes are too large for one block, so the scan
+# bounds its blocks and prunes: per-axis and shared grids, both protocols and
+# orderings, up to 1024 points per axis.
+SEARCH_SCALE_FILES = {
+    "shared-2q-symmetrized-grids-128": _wde_quantum(
+        "shared", _wde_state(11, 4), factor=1, ordering="symmetrized",
+        grids={"a": _axis(0.0, np.pi / 127, 128), "b": _axis(0.5, 0.02, 128),
+               "c": _axis(-1.0, 0.05, 128)}),
+    "shared-3q-sequential-grid-384": _wde_quantum(
+        "shared", _wde_state(12, 8), factor=2, ordering="sequential",
+        grid=_axis(0.0, np.pi / 383, 384)),
+    "paired-random-2q-grid-128": _wde_quantum(
+        "paired", _wde_state(13, 4), grid=_axis(0.0, np.pi / 127, 128)),
+    "paired-singlet-grid-1024": _wde_quantum(
+        "paired", SINGLET_STATE, grid=_axis(0.0, np.pi / 1023, 1024)),
+    "shared-3q-grid-1024": _wde_quantum(
+        "shared", _wde_state(14, 8), factor=0, grid=_axis(0.0, np.pi / 1023, 1024)),
+}
+
+# sha256 of (exit code, stdout, stderr) of `search` on each file above,
+# taken before the shared protocol's overlap sheets were built from the
+# direction amplitudes and before the scan walked surviving blocks only.
+GOLDEN_SEARCH_SCALE_SHA256 = {
+    "paired-random-2q-grid-128": "ba2bf854b5918bfa6f7703bcc050fc0e54ff30c3b803bbfce25c81ec5f840287",
+    "paired-singlet-grid-1024": "448dc999d3be7416eddf29f5c3d7f1904d4bcbdbb8004231dc53c5e8aa3561c9",
+    "shared-2q-symmetrized-grids-128": "3cd601b2ba18c5b15b2bd2f57b7aeded127fa95bc71cdadc2edc31521e71ca86",
+    "shared-3q-grid-1024": "046de37251e902b0d963a3f74a223b1a4504088c0b20bb4d57eb72564352db35",
+    "shared-3q-sequential-grid-384": "a4d4d2bf42c29edc6e22e0483227a4344e9c89d75ce71a09bcc20c76303d861f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_SCALE_FILES))
+def test_search_scale_output_bytes_are_pinned(capsys, tmp_path, name):
+    payload = SEARCH_SCALE_FILES[name]
+    grids = payload.get("grids") or dict.fromkeys("abc", payload.get("grid"))
+    points = [tfuprob.wde.AngleGrid(**grids[axis]).points for axis in "abc"]
+    assert 8 * np.prod(points) > tfuprob.kernels._SINGLE_BLOCK_BYTES  # a tiled, pruned scan
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(payload))
+    assert _run_digest(capsys, "search", str(path)) == GOLDEN_SEARCH_SCALE_SHA256[name]
 
 
 # shared-protocol files whose tests are projectors, which `eval` tests and

@@ -6,7 +6,8 @@ import pytest
 from tfuprob import kernels
 from tfuprob.errors import ValidationError
 from tfuprob.kernels import scan_triple
-from tfuprob.wde import _paired_pair_matrices, singlet_state
+from tfuprob.quantum import ComplexStateVector
+from tfuprob.wde import ORDERINGS, _paired_pair_matrices, _shared_pair_matrices, singlet_state
 
 
 def _brute_force(jab, jbc, jac):
@@ -151,6 +152,57 @@ def test_inf_before_nan_matches_dense_argmax(monkeypatch, cols):
     assert want == (3, 1, 2)
     assert arg == want
     assert np.isnan(best)
+
+
+def _ridge_sheets():
+    """Pair sheets of the two protocols, whose maxima lie on ridges of
+    near-equal (and, by symmetry, exactly equal) scores."""
+    th = np.linspace(0.0, np.pi, 24)
+    sheets = {"singlet": _paired_pair_matrices(th, th, th, singlet_state())}
+    rng = np.random.default_rng(7)
+    amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    state = ComplexStateVector(amps / np.linalg.norm(amps))
+    for ordering in ORDERINGS:
+        sheets[f"shared-{ordering}"] = _shared_pair_matrices(
+            th, np.linspace(0.0, 2 * np.pi, 20), th[:18], state, 1, ordering)
+    return sheets
+
+
+RIDGE_SHEETS = _ridge_sheets()
+
+
+@pytest.fixture(scope="module")
+def ridge_maxima():
+    return {name: _brute_force(*sheets) for name, sheets in RIDGE_SHEETS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(RIDGE_SHEETS))
+@pytest.mark.parametrize("cols, bound_rows", [(1, 1), (2, 3), (5, 2)])
+def test_walk_scores_no_tile_of_a_block_below_the_floor(monkeypatch, ridge_maxima, name, cols,
+                                                        bound_rows):
+    jab, jbc, jac = RIDGE_SHEETS[name]
+    (na, nb), nc = jab.shape, jac.shape[1]
+    _j_rows_per_tile(monkeypatch, cols, nc, bound_rows)
+    scored = []
+    score_tile = kernels._score_tile
+
+    def counted(jab, jbc, jac, buf, i0, i1, j0, j1):
+        scored.append((i0, j0))
+        return score_tile(jab, jbc, jac, buf, i0, i1, j0, j1)
+
+    monkeypatch.setattr(kernels, "_score_tile", counted)
+    assert scan_triple(jab, jbc, jac) == ridge_maxima[name]
+
+    # the floor: the best score of the block of highest bound
+    bounds = kernels._block_bounds(jab, jbc, jac, bound_rows, cols)
+    top_i, top_j = np.unravel_index(int(np.argmax(bounds)), bounds.shape)
+    rows = slice(top_i * bound_rows, (top_i + 1) * bound_rows)
+    js = slice(top_j * cols, (top_j + 1) * cols)
+    floor = np.max(jac[rows, None, :] - (jab[rows, js, None] + jbc[None, js, :]))
+    below = bounds < floor
+    assert below.any()  # the ridge leaves some blocks to prune
+    assert not any(below[i0 // bound_rows, j0 // cols] for i0, j0 in scored)
+    assert len(scored) < na * -(-nb // cols)
 
 
 def test_scan_memory_is_bounded():

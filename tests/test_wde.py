@@ -401,3 +401,37 @@ def test_classical_terms_equal_per_call_projectors():
         assert got.ab == probability(and_op(a, b), s)
         assert got.not_b_c == probability(and_op(negation_op(b), c), s)
         assert got.ac == probability(and_op(a, c), s)
+
+
+def test_overlap_table_matches_the_cosine_of_the_half_difference():
+    # each grid holds theta and theta + pi, whose directions are
+    # complementary, so the table has exact zeros and ones in real arithmetic
+    rng = np.random.default_rng(45)
+    base = np.concatenate([[0.0, np.pi / 4, np.pi / 2], rng.uniform(-np.pi, np.pi, size=13)])
+    th_x = np.concatenate([base, base + np.pi])
+    th_y = np.concatenate([base[::-1], base + np.pi, np.linspace(0.0, 2 * np.pi, 9)])
+    got = wde._overlap_table(th_x, th_y)
+    want = np.cos(np.subtract.outer(th_x, th_y) / 2.0) ** 2
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("ordering", wde.ORDERINGS)
+def test_shared_pair_sheets_match_dense_terms(m, ordering):
+    rng = np.random.default_rng([46, m])
+    amps = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
+    state = ComplexStateVector(amps / np.linalg.norm(amps))
+    factor = m - 1
+    th_a, th_b, th_c = (np.sort(rng.uniform(0.0, 2 * np.pi, size=n)) for n in (7, 9, 8))
+    th_b[0], th_b[1] = th_a[0], th_a[0] + np.pi  # b holds a's direction and its complement
+    jab, jbc, jac = wde._shared_pair_matrices(th_a, th_b, th_c, state, factor, ordering)
+    for i, j, k in zip(*(rng.integers(len(th), size=40) for th in (th_a, th_b, th_c))):
+        dense = wde_quantum_shared(
+            *(QubitDirection(th[x]) for th, x in ((th_a, i), (th_b, j), (th_c, k))),
+            state, ordering, factor,
+        )
+        np.testing.assert_allclose(
+            [jab[i, j], jbc[j, k], jac[i, k]], [dense.ab, dense.not_b_c, dense.ac],
+            rtol=0, atol=1e-12,
+        )
