@@ -16,56 +16,67 @@ quantum.MAX_DIM = 1024.
 
 The scan never materializes the whole (na, nb, nc) score cube. A cube of
 at most _SINGLE_BLOCK_BYTES is scored in one block. A larger one is cut
-into tiles of about _TILE_BYTES, small enough to stay in a core's L2 cache
-while np.add, np.subtract and argmax pass over it: one i-row by a chunk of
-j-rows, a contiguous run of the cube in C order. The tiles are walked in
-that order; each takes the first maximum of its run with argmax, and a
-tile replaces the best so far only with a strictly greater value
-(or with the first NaN, where a dense argmax would stop). The result is
-therefore the first maximum of the dense cube in C order: ties go to the
-lexicographically smallest (i, j, k), and every value is the same float
-the dense expression would give.
+into square blocks of b i-rows by b j-rows over all k, with b = 8, or
+larger when nc is short, so that a block stays about _TILE_BYTES: small
+enough to stay in a core's L2 cache while np.add, np.subtract and argmax
+pass over it. Each block is scored into one reused buffer, and argmax takes
+its first maximum, the lexicographically smallest (i, j, k) of its best
+score.
 
-Most tiles cannot beat the best tuple, and are skipped unscored. When all
-three sheets are finite, one pass first bounds every block of tiles
-(i-rows I by j-rows J) by
+When all three sheets are finite, one pass first bounds every block (i-rows
+I by j-rows J) by
 
     U = max over k of  max_I Jac[i, k] - (min_IxJ Jab[i, j] + min_J Jbc[j, k])
 
-The block of highest U is scored first; its best score F is reached by
-some tuple, so the maximum of the cube is at least F. A block with U < F
-holds no maximum: the walk takes the surviving blocks, U >= F, from
-np.nonzero and visits only their tiles, still in C order. It also skips a
-surviving tile whose U <= the best so far (it could at most tie, and a tie
-goes to the earlier tuple). Each skip is exact, not a heuristic: IEEE-754
-rounding is monotone, so fl(b + c) never exceeds fl(b' + c') when b <= b'
-and c <= c', and fl(a - s) never falls as a rises or s falls; every tuple
-of the block therefore scores at most U, overflow included. With an
-infinity or NaN in a sheet, inf - inf can make a NaN that no bound sees,
-so every tile is walked and none is skipped.
+at a cost of nc per block, 1/b**2 of scoring it. The walk is best-first:
+blocks are visited in descending U, equal bounds in C order (a stable
+sort). The first block's best score is reached by some tuple, so the
+maximum of the cube is at least that; each later block can only raise it.
+The walk stops at the first block whose U is below the best value so far,
+since every later U is lower still, and skips a block whose U equals the
+best value when its first tuple (i0, j0, 0) comes after the best tuple:
+the block could at most tie, and a tie goes to the earlier tuple. A scored
+block replaces the best on a strictly greater value, or on an equal value
+at a lexicographically smaller tuple. The result is therefore the first
+maximum of the dense cube in C order, whatever order the blocks were
+visited in: ties go to the lexicographically smallest (i, j, k), and every
+value is the same float the dense expression would give.
+
+Each stop and skip is exact, not a heuristic: IEEE-754 rounding is
+monotone, so fl(b + c) never exceeds fl(b' + c') when b <= b' and c <= c',
+and fl(a - s) never falls as a rises or s falls; every tuple of the block
+therefore scores at most U, overflow included. With an infinity or NaN in
+a sheet, inf - inf can make a NaN that no bound sees, so every block is
+scored, in C order, and a NaN comes first as in a dense argmax: the result
+is the lexicographically smallest NaN tuple, if there is one.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 import numpy as np
 
 from .errors import ValidationError
 
 # A score cube up to this size is scored in one block with no bound pass:
-# on small grids the pass and the per-tile overhead cost more than pruning
+# on small grids the pass and the per-block overhead cost more than pruning
 # saves.
 _SINGLE_BLOCK_BYTES = 8 * 2**20
-# Scratch for one tile of a larger cube, sized to stay in a core's L2 cache.
+# A larger cube's blocks grow to about this size when nc is short, to stay in
+# a core's L2 cache while np.add, np.subtract and argmax pass over them.
 _TILE_BYTES = 64 * 2**10
-# The bound pass costs at most about 1/_BOUND_SHARE of scoring every tuple.
+# The bound pass costs at most about 1/_BOUND_SHARE of scoring every tuple:
+# a block is at least sqrt(_BOUND_SHARE) i-rows by as many j-rows.
 _BOUND_SHARE = 64
 
 
-def _tile_shape(na, nb, nc):
-    """(i-rows, j-rows) of one tile: the whole cube, or one i-row by a chunk."""
+def _block_shape(na, nb, nc):
+    """(i-rows, j-rows) of one block: the whole cube, or a square of side b."""
     if 8 * na * nb * nc <= _SINGLE_BLOCK_BYTES:
         return na, nb
-    return 1, min(nb, max(1, _TILE_BYTES // (8 * nc)))
+    side = max(isqrt(_BOUND_SHARE), isqrt(_TILE_BYTES // (8 * nc)))
+    return min(side, na), min(side, nb)
 
 
 def _block_bounds(jab, jbc, jac, rows, cols):
@@ -88,7 +99,7 @@ def _block_bounds(jab, jbc, jac, rows, cols):
     return bounds
 
 
-def _score_tile(jab, jbc, jac, buf, i0, i1, j0, j1):
+def _score_block(jab, jbc, jac, buf, i0, i1, j0, j1):
     """Score tuples i0:i1 x j0:j1 x all k into buf; returns the filled view."""
     v = buf[: i1 - i0, : j1 - j0]
     np.add(jab[i0:i1, j0:j1, None], jbc[None, j0:j1, :], out=v)
@@ -96,61 +107,50 @@ def _score_tile(jab, jbc, jac, buf, i0, i1, j0, j1):
     return v
 
 
-def _tiles(na, nb, rows, cols, bounds, block_rows, floor):
-    """(i0, j0, bound) of each tile the walk may score, in C order.
-
-    Unbounded (bounds is None), every tile, with bound None. Bounded, only
-    the tiles of blocks whose bound reaches the floor.
-    """
-    if bounds is None:
-        for i0 in range(0, na, rows):
-            for j0 in range(0, nb, cols):
-                yield i0, j0, None
-        return
-    for block_i, survivors in enumerate(bounds >= floor):
-        block_j = np.nonzero(survivors)[0]
-        if block_j.size == 0:
-            continue
-        j0s = (block_j * cols).tolist()
-        row_bounds = bounds[block_i, block_j].tolist()
-        for i0 in range(block_i * block_rows, min((block_i + 1) * block_rows, na)):
-            for j0, bound in zip(j0s, row_bounds):
-                yield i0, j0, bound
+def _comes_first(value, at, best, arg):
+    """Whether `value` at tuple `at` precedes `best` at `arg` in a dense argmax:
+    a NaN before any number, then the greater value, then the smaller tuple."""
+    if best != best:
+        return value != value and at < arg
+    return value != value or value > best or (value == best and at < arg)
 
 
 def _scan_blocks(jab, jbc, jac):
     na, nb = jab.shape
     nc = jac.shape[1]
-    rows, cols = _tile_shape(na, nb, nc)
+    rows, cols = _block_shape(na, nb, nc)
+    n_j = -(-nb // cols)
+    n_blocks = -(-na // rows) * n_j
     buf = np.empty((rows, cols, nc), dtype=np.float64)
-    # a bound block spans enough one-row tiles that the bound pass stays
-    # within its share of the scan
-    block_rows = min(na, -(-_BOUND_SHARE // cols))
-    bounds, floor = None, -np.inf
-    if (rows, cols) != (na, nb) and all(np.isfinite(s).all() for s in (jab, jbc, jac)):
-        bounds = _block_bounds(jab, jbc, jac, block_rows, cols)
-        top_i, top_j = np.unravel_index(int(np.argmax(bounds)), bounds.shape)
-        i0, j0 = int(top_i) * block_rows, int(top_j) * cols
-        i_end, j1 = min(i0 + block_rows, na), min(j0 + cols, nb)
-        floor = max(
-            np.max(_score_tile(jab, jbc, jac, buf, i, i + 1, j0, j1))
-            for i in range(i0, i_end)
-        )
-    best, arg = -np.inf, (0, 0, 0)
-    for i0, j0, bound in _tiles(na, nb, rows, cols, bounds, block_rows, floor):
-        if bound is not None and bound <= best:
-            continue
+    bounds = None
+    if n_blocks > 1 and all(np.isfinite(s).all() for s in (jab, jbc, jac)):
+        flat_bounds = _block_bounds(jab, jbc, jac, rows, cols).ravel()
+        # descending bound; the stable sort keeps equal bounds in C order
+        order = np.argsort(-flat_bounds, kind="stable").tolist()
+        bounds = flat_bounds.tolist()
+    else:
+        order = range(n_blocks)
+    # (na, 0, 0) follows every tuple, so the first block scored replaces it
+    best, arg = -np.inf, (na, 0, 0)
+    for block in order:
+        block_i, block_j = divmod(block, n_j)
+        i0, j0 = block_i * rows, block_j * cols
+        if bounds is not None:
+            bound = bounds[block]
+            if bound < best:  # so is every later bound
+                break
+            if bound == best and (i0, j0, 0) > arg:  # at most a later tie
+                continue
         i1, j1 = min(i0 + rows, na), min(j0 + cols, nb)
-        v = _score_tile(jab, jbc, jac, buf, i0, i1, j0, j1)
-        flat = int(np.argmax(v))  # first occurrence within the tile
-        value = v.flat[flat]
-        if value > best or np.isnan(value):
-            i, rem = divmod(flat, (j1 - j0) * nc)
-            j, k = divmod(rem, nc)
-            best, arg = value, (i0 + i, j0 + j, k)
-            if np.isnan(value):  # argmax over the dense cube stops at its first NaN
-                return arg, float(best)
-    return arg, float(best)
+        v = _score_block(jab, jbc, jac, buf, i0, i1, j0, j1)
+        flat = int(np.argmax(v))  # the block's first maximum, or first NaN
+        value = float(v.flat[flat])
+        i, rem = divmod(flat, (j1 - j0) * nc)
+        j, k = divmod(rem, nc)
+        at = (i0 + i, j0 + j, k)
+        if _comes_first(value, at, best, arg):
+            best, arg = value, at
+    return arg, best
 
 
 def scan_triple(jab, jbc, jac):

@@ -293,17 +293,25 @@ class ViolationWitness:
 
 
 def _pair_amplitude_table(th_x, th_y, state4) -> np.ndarray:
-    """|<d(x) (x) d(y)|s>|^2 for every angle pair, vectorized (phi = 0)."""
+    """|<d(x) (x) d(y)|s>|^2 for every angle pair, vectorized (phi = 0).
+
+    Built in blocks of rows, so that the complex temporaries stay about
+    1 MiB each rather than twice the size of the table."""
     cx, sx = np.cos(th_x / 2.0), np.sin(th_x / 2.0)
     cy, sy = np.cos(th_y / 2.0), np.sin(th_y / 2.0)
     s00, s01, s10, s11 = state4
-    amp = (
-        np.multiply.outer(cx, cy) * s00
-        + np.multiply.outer(cx, sy) * s01
-        + np.multiply.outer(sx, cy) * s10
-        + np.multiply.outer(sx, sy) * s11
-    )
-    return np.abs(amp) ** 2
+    table = np.empty((cx.size, cy.size))
+    rows = max(1, 2**16 // cy.size)
+    for r0 in range(0, cx.size, rows):
+        r = slice(r0, r0 + rows)
+        amp = (
+            np.multiply.outer(cx[r], cy) * s00
+            + np.multiply.outer(cx[r], sy) * s01
+            + np.multiply.outer(sx[r], cy) * s10
+            + np.multiply.outer(sx[r], sy) * s11
+        )
+        table[r] = np.abs(amp) ** 2
+    return table
 
 
 def _paired_pair_matrices(th_a, th_b, th_c, state: ComplexStateVector):

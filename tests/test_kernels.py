@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tfuprob import kernels
 from tfuprob.errors import ValidationError
@@ -34,16 +37,43 @@ def _random_tables(rng, na, nb, nc):
     )
 
 
-def _j_rows_per_tile(monkeypatch, cols, nc, bound_rows):
-    """Tiles of one i-row by `cols` j-rows, bounded in blocks of `bound_rows` i-rows."""
+def _dense_first(jab, jbc, jac):
+    """The first maximum of the dense score cube in C order, as np.argmax
+    finds it (a NaN before any number)."""
+    with np.errstate(invalid="ignore"):
+        cube = jac[:, None, :] - (jab[:, :, None] + jbc[None, :, :])
+    flat = int(np.argmax(cube))
+    return tuple(int(x) for x in np.unravel_index(flat, cube.shape)), float(cube.flat[flat])
+
+
+def _square_blocks(monkeypatch, side):
+    """Blocks of `side` i-rows by `side` j-rows, bounded one by one."""
     monkeypatch.setattr(kernels, "_SINGLE_BLOCK_BYTES", 0)
-    monkeypatch.setattr(kernels, "_TILE_BYTES", cols * 8 * nc)
-    monkeypatch.setattr(kernels, "_BOUND_SHARE", bound_rows * cols)
+    monkeypatch.setattr(kernels, "_TILE_BYTES", 0)
+    monkeypatch.setattr(kernels, "_BOUND_SHARE", side * side)
 
 
-def _rows_per_block(monkeypatch, rows, nb, nc):
-    """Tiles of one i-row by every j-row, bounded in blocks of `rows` i-rows."""
-    _j_rows_per_tile(monkeypatch, nb, nc, rows)
+def _block_side(monkeypatch, tile_side, share_side, nc):
+    """Blocks as large as the side that keeps one at _TILE_BYTES for this
+    nc (`tile_side`) or the side that keeps the bound pass within its share
+    (`share_side`), whichever is larger; returns that side."""
+    monkeypatch.setattr(kernels, "_SINGLE_BLOCK_BYTES", 0)
+    monkeypatch.setattr(kernels, "_TILE_BYTES", tile_side * tile_side * 8 * nc)
+    monkeypatch.setattr(kernels, "_BOUND_SHARE", share_side * share_side)
+    return max(tile_side, share_side)
+
+
+def _count_scored(monkeypatch):
+    """The (i0, j0) of every block the walk scores, in the order scored."""
+    scored = []
+    score_block = kernels._score_block
+
+    def counted(jab, jbc, jac, buf, i0, i1, j0, j1):
+        scored.append((i0, j0))
+        return score_block(jab, jbc, jac, buf, i0, i1, j0, j1)
+
+    monkeypatch.setattr(kernels, "_score_block", counted)
+    return scored
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 4, 5), (8, 8, 8), (17, 2, 9)])
@@ -56,11 +86,11 @@ def test_scan_matches_brute_force(shape):
     assert best == want_best  # bit-for-bit
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, 16])
-def test_scan_across_blocks_matches_brute_force(monkeypatch, rows):
-    rng = np.random.default_rng(rows)
+@pytest.mark.parametrize("side", [1, 2, 3, 16])
+def test_scan_across_blocks_matches_brute_force(monkeypatch, side):
+    rng = np.random.default_rng(side)
     na, nb, nc = 17, 4, 6
-    _rows_per_block(monkeypatch, rows, nb, nc)
+    _square_blocks(monkeypatch, side)
     for _ in range(5):
         jab, jbc, jac = _random_tables(rng, na, nb, nc)
         assert scan_triple(jab, jbc, jac) == _brute_force(jab, jbc, jac)
@@ -68,9 +98,9 @@ def test_scan_across_blocks_matches_brute_force(monkeypatch, rows):
 
 def test_tie_across_block_boundary_goes_to_first_block(monkeypatch):
     na, nb, nc = 7, 3, 4
-    _rows_per_block(monkeypatch, 2, nb, nc)
+    _square_blocks(monkeypatch, 2)
     jab, jbc, jac = np.zeros((na, nb)), np.zeros((nb, nc)), np.zeros((na, nc))
-    jac[1, 3] = jac[2, 0] = jac[6, 0] = 0.5  # blocks {0,1}, {2,3}, ..., {6}
+    jac[1, 3] = jac[2, 0] = jac[6, 0] = 0.5  # block rows {0,1}, {2,3}, ..., {6}
     assert scan_triple(jab, jbc, jac) == ((1, 0, 3), 0.5)
     assert _brute_force(jab, jbc, jac) == ((1, 0, 3), 0.5)
 
@@ -78,7 +108,7 @@ def test_tie_across_block_boundary_goes_to_first_block(monkeypatch):
 def test_maximum_only_in_last_block(monkeypatch):
     rng = np.random.default_rng(5)
     na, nb, nc = 7, 3, 4
-    _rows_per_block(monkeypatch, 3, nb, nc)  # last block is the single row 6
+    _square_blocks(monkeypatch, 3)  # the last block row is the single row 6
     jab, jbc, jac = _random_tables(rng, na, nb, nc)
     jac[6, 2] = 10.0
     want = _brute_force(jab, jbc, jac)
@@ -90,7 +120,7 @@ def test_first_nan_wins_like_dense_argmax(monkeypatch):
     # argmax over the dense cube stops at its first NaN; the blocked scan
     # must return that one, not an earlier finite maximum or a later NaN
     na, nb, nc = 6, 3, 4
-    _rows_per_block(monkeypatch, 2, nb, nc)
+    _square_blocks(monkeypatch, 2)
     jab, jbc, jac = np.zeros((na, nb)), np.zeros((nb, nc)), np.zeros((na, nc))
     jac[0, 1] = 1.0
     jac[2, 2] = jac[5, 0] = np.nan
@@ -102,17 +132,17 @@ def test_first_nan_wins_like_dense_argmax(monkeypatch):
 
 
 @pytest.mark.parametrize("nudge", [0.0, 2.0**-30])
-@pytest.mark.parametrize("cols", [1, 2, 3])
-@pytest.mark.parametrize("bound_rows", [1, 3])
-def test_pruned_scan_matches_brute_force_on_ties(monkeypatch, nudge, cols, bound_rows):
-    # sheets on a few levels tie exactly all over the cube, so pruned tiles
-    # whose bound equals the best so far are common; nudged levels make a
-    # later tile beat the best by a hair, which a pruning rule with any
-    # slack would skip
-    rng = np.random.default_rng(100 * cols + bound_rows)
+@pytest.mark.parametrize("tile_side", [1, 2, 3])
+@pytest.mark.parametrize("share_side", [1, 3])
+def test_pruned_scan_matches_brute_force_on_ties(monkeypatch, nudge, tile_side, share_side):
+    # sheets on a few levels tie exactly all over the cube, so blocks whose
+    # bound equals the best so far are common; nudged levels make a later
+    # block beat the best by a hair, which a pruning rule with any slack
+    # would skip
+    rng = np.random.default_rng(100 * tile_side + share_side)
     for _ in range(40):
         na, nb, nc = rng.integers(1, 9, size=3)
-        _j_rows_per_tile(monkeypatch, cols, nc, bound_rows)
+        _block_side(monkeypatch, tile_side, share_side, nc)
         jab, jbc, jac = (
             rng.integers(0, 3, size=shape) / 4.0 + rng.integers(0, 2, size=shape) * nudge
             for shape in ((na, nb), (nb, nc), (na, nc))
@@ -121,26 +151,30 @@ def test_pruned_scan_matches_brute_force_on_ties(monkeypatch, nudge, cols, bound
 
 
 def test_later_tile_bounded_at_the_best_keeps_the_earlier_tie(monkeypatch):
-    # tiles of one i-row by two j-rows, bounded one by one. Tile (1, {2,3})
-    # has the highest bound (0.75, loose) but scores at most 0.5, which the
-    # earlier tiles (0, {0,1}) and (0, {2,3}) reach exactly; the first
-    # 0.5, at (0, 0, 0), must win
-    _j_rows_per_tile(monkeypatch, 2, 2, 1)
-    jab = np.array([[0.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.25]])
-    jbc = np.array([[0.0, 0.0], [0.0, 0.0], [0.25, 0.0], [0.0, 0.0]])
-    jac = np.array([[0.5, 0.0], [0.75, 0.0]])
+    # blocks of two i-rows by two j-rows. Block ({0,1}, {2,3}) has the
+    # highest bound (0.5, loose) and is scored first; its best, 0.25 at
+    # (0, 2, 0), ties the first maximum (0, 0, 0) of the earlier block
+    # ({0,1}, {0,1}), whose bound is exactly 0.25. That block must still be
+    # scored, and its tie at a smaller tuple must win
+    _square_blocks(monkeypatch, 2)
+    scored = _count_scored(monkeypatch)
+    jab = np.array([[0.25, 0.5, 0.25, 0.0], [0.25, 0.5, 0.25, 0.75]])
+    jbc = np.array([[0.25, 0.5], [0.75, 0.75], [0.25, 0.0], [0.5, 0.5]])
+    jac = np.array([[0.75, 0.25], [0.25, 0.0]])
     want = _brute_force(jab, jbc, jac)
-    assert want == ((0, 0, 0), 0.5)
-    assert kernels._block_bounds(jab, jbc, jac, 1, 2).tolist() == [[0.5, 0.5], [0.25, 0.75]]
+    assert want == ((0, 0, 0), 0.25)
+    assert _brute_force(jab[:, 2:], jbc[2:], jac) == ((0, 0, 0), 0.25)  # (0, 2, 0) overall
+    assert kernels._block_bounds(jab, jbc, jac, 2, 2).tolist() == [[0.25, 0.5]]
     assert scan_triple(jab, jbc, jac) == want
+    assert scored == [(0, 2), (0, 0)]
 
 
-@pytest.mark.parametrize("cols", [1, 2, 3])
-def test_inf_before_nan_matches_dense_argmax(monkeypatch, cols):
-    # +inf scores come first, then inf - inf makes a NaN: no tile may be
+@pytest.mark.parametrize("side", [1, 2, 3])
+def test_inf_before_nan_matches_dense_argmax(monkeypatch, side):
+    # +inf scores come first, then inf - inf makes a NaN: no block may be
     # skipped for a bound at or below +inf, or the NaN would be missed
     na, nb, nc = 5, 4, 3
-    _j_rows_per_tile(monkeypatch, cols, nc, 1)
+    _square_blocks(monkeypatch, side)
     jab, jbc, jac = np.zeros((na, nb)), np.zeros((nb, nc)), np.zeros((na, nc))
     jac[0, 1] = np.inf
     jac[3, 2] = np.inf
@@ -151,6 +185,20 @@ def test_inf_before_nan_matches_dense_argmax(monkeypatch, cols):
     want = np.unravel_index(int(np.argmax(cube)), cube.shape)
     assert want == (3, 1, 2)
     assert arg == want
+    assert np.isnan(best)
+
+
+def test_first_nan_across_block_columns_matches_dense_argmax(monkeypatch):
+    # block ({0,1}, {0,1}) holds a NaN at (1, 0, 0), the next block in C
+    # order, ({0,1}, {2,3}), one at (0, 2, 0), which comes first: the walk
+    # may not stop at the first block that holds a NaN
+    _square_blocks(monkeypatch, 2)
+    jab, jbc, jac = np.zeros((3, 4)), np.zeros((4, 2)), np.zeros((3, 2))
+    jab[1, 0] = jab[0, 2] = np.nan
+    want = _dense_first(jab, jbc, jac)
+    assert want[0] == (0, 2, 0)
+    arg, best = scan_triple(jab, jbc, jac)
+    assert arg == want[0]
     assert np.isnan(best)
 
 
@@ -177,32 +225,60 @@ def ridge_maxima():
 
 
 @pytest.mark.parametrize("name", sorted(RIDGE_SHEETS))
-@pytest.mark.parametrize("cols, bound_rows", [(1, 1), (2, 3), (5, 2)])
-def test_walk_scores_no_tile_of_a_block_below_the_floor(monkeypatch, ridge_maxima, name, cols,
-                                                        bound_rows):
+@pytest.mark.parametrize("tile_side, share_side", [(1, 1), (2, 3), (5, 2)])
+def test_walk_scores_no_tile_of_a_block_below_the_floor(monkeypatch, ridge_maxima, name,
+                                                        tile_side, share_side):
+    # the floor is the maximum of the cube: a block bounded below it cannot
+    # hold the result, and the best-first walk must never score one
     jab, jbc, jac = RIDGE_SHEETS[name]
     (na, nb), nc = jab.shape, jac.shape[1]
-    _j_rows_per_tile(monkeypatch, cols, nc, bound_rows)
-    scored = []
-    score_tile = kernels._score_tile
+    side = _block_side(monkeypatch, tile_side, share_side, nc)
+    scored = _count_scored(monkeypatch)
+    arg, floor = scan_triple(jab, jbc, jac)
+    assert (arg, floor) == ridge_maxima[name]
 
-    def counted(jab, jbc, jac, buf, i0, i1, j0, j1):
-        scored.append((i0, j0))
-        return score_tile(jab, jbc, jac, buf, i0, i1, j0, j1)
-
-    monkeypatch.setattr(kernels, "_score_tile", counted)
-    assert scan_triple(jab, jbc, jac) == ridge_maxima[name]
-
-    # the floor: the best score of the block of highest bound
-    bounds = kernels._block_bounds(jab, jbc, jac, bound_rows, cols)
-    top_i, top_j = np.unravel_index(int(np.argmax(bounds)), bounds.shape)
-    rows = slice(top_i * bound_rows, (top_i + 1) * bound_rows)
-    js = slice(top_j * cols, (top_j + 1) * cols)
-    floor = np.max(jac[rows, None, :] - (jab[rows, js, None] + jbc[None, js, :]))
+    bounds = kernels._block_bounds(jab, jbc, jac, side, side)
+    assert bounds.shape == (-(-na // side), -(-nb // side))
     below = bounds < floor
     assert below.any()  # the ridge leaves some blocks to prune
-    assert not any(below[i0 // bound_rows, j0 // cols] for i0, j0 in scored)
-    assert len(scored) < na * -(-nb // cols)
+    scored_bounds = [bounds[i0 // side, j0 // side] for i0, j0 in scored]
+    assert not any(bound < floor for bound in scored_bounds)
+    # best first: the block of highest bound, then never a higher bound
+    assert scored_bounds[0] == bounds.max()
+    assert scored_bounds == sorted(scored_bounds, reverse=True)
+    assert len(set(scored)) == len(scored) < bounds.size
+
+
+@pytest.mark.parametrize("shape", [(512, 8, 8), (8, 512, 8), (8, 8, 512)])
+@pytest.mark.parametrize("side", [2, 5])
+def test_tall_wide_and_deep_grids_match_dense_argmax(monkeypatch, shape, side):
+    # one long axis: many blocks along i or j, or few blocks of long k runs
+    _square_blocks(monkeypatch, side)
+    th_a, th_b, th_c = (np.linspace(0.0, np.pi, n) for n in shape)
+    singlet = _paired_pair_matrices(th_a, th_b, th_c, singlet_state())
+    assert scan_triple(*singlet) == _dense_first(*singlet)
+    rng = np.random.default_rng(side)
+    na, nb, nc = shape
+    levels = tuple(rng.integers(0, 3, size=s) / 4.0 for s in ((na, nb), (nb, nc), (na, nc)))
+    assert scan_triple(*levels) == _dense_first(*levels)
+
+
+@st.composite
+def tie_heavy_sheets(draw):
+    """Sheets of quarter-integers up to 24 points per axis: exact ties
+    abound, within a block and across blocks."""
+    na, nb, nc = (draw(st.integers(1, 24)) for _ in range(3))
+    levels = st.integers(0, draw(st.integers(1, 4)))
+    return tuple(draw(arrays(np.int8, shape, elements=levels)) / 4.0
+                 for shape in ((na, nb), (nb, nc), (na, nc)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(sheets=tie_heavy_sheets(), side=st.integers(1, 6))
+def test_scan_is_the_dense_first_maximum_on_drawn_sheets(sheets, side):
+    with pytest.MonkeyPatch.context() as mp:
+        _square_blocks(mp, side)
+        assert scan_triple(*sheets) == _dense_first(*sheets)  # value bit for bit
 
 
 def test_scan_memory_is_bounded():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,3 +436,42 @@ def test_shared_pair_sheets_match_dense_terms(m, ordering):
             [jab[i, j], jbc[j, k], jac[i, k]], [dense.ab, dense.not_b_c, dense.ac],
             rtol=0, atol=1e-12,
         )
+
+
+def _whole_amplitude_table(th_x, th_y, state4):
+    """The paired sheet as one expression over the whole table."""
+    cx, sx = np.cos(th_x / 2.0), np.sin(th_x / 2.0)
+    cy, sy = np.cos(th_y / 2.0), np.sin(th_y / 2.0)
+    s00, s01, s10, s11 = state4
+    amp = (
+        np.multiply.outer(cx, cy) * s00
+        + np.multiply.outer(cx, sy) * s01
+        + np.multiply.outer(sx, cy) * s10
+        + np.multiply.outer(sx, sy) * s11
+    )
+    return np.abs(amp) ** 2
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (7, 3), (300, 5), (5, 70000), (1100, 1100)])
+def test_pair_amplitude_table_in_row_blocks_equals_the_whole_expression(nx, ny):
+    # row blocks of 2**16 // ny rows: one, several, a ragged last one, and
+    # single rows longer than a block
+    rng = np.random.default_rng([47, nx, ny])
+    th_x = rng.uniform(-2 * np.pi, 2 * np.pi, size=nx)
+    th_y = rng.uniform(-2 * np.pi, 2 * np.pi, size=ny)
+    amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    for state4 in (singlet_state().amplitudes, amps / np.linalg.norm(amps)):
+        got = wde._pair_amplitude_table(th_x, th_y, state4)
+        assert np.array_equal(got, _whole_amplitude_table(th_x, th_y, state4))
+
+
+def test_paired_sheets_memory_is_bounded():
+    th = np.linspace(0.0, np.pi, 1024)
+    tracemalloc.start()
+    try:
+        sheets = wde._paired_pair_matrices(th, th, th, singlet_state())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sheet.nbytes for sheet in sheets) == 24 * 2**20
+    assert peak <= 32 * 2**20  # one expression over a whole sheet peaked at 56 MiB
