@@ -23,32 +23,47 @@ pass over it. Each block is scored into one reused buffer, and argmax takes
 its first maximum, the lexicographically smallest (i, j, k) of its best
 score.
 
-When all three sheets are finite, one pass first bounds every block (i-rows
-I by j-rows J) by
+When all three sheets are finite, each block (i-rows I by j-rows J) has
+the exact bound
 
     U = max over k of  max_I Jac[i, k] - (min_IxJ Jab[i, j] + min_J Jbc[j, k])
 
-at a cost of nc per block, 1/b**2 of scoring it. The walk is best-first:
-blocks are visited in descending U, equal bounds in C order (a stable
-sort). The first block's best score is reached by some tuple, so the
-maximum of the cube is at least that; each later block can only raise it.
-The walk stops at the first block whose U is below the best value so far,
-since every later U is lower still, and skips a block whose U equals the
-best value when its first tuple (i0, j0, 0) comes after the best tuple:
-the block could at most tie, and a tie goes to the earlier tuple. A scored
+at a cost of nc per block, 1/b**2 of scoring it. The block extremes come
+from b strided row slices reduced in place: the same values as
+np.minimum.reduceat gives (a minimum rounds nothing), several times faster.
+Most blocks never need U. A coarse bound V takes the same expression over
+chunks of b k-values, with each chunk's largest max_I Jac and smallest
+min_J Jbc, at a cost of nc/b per block. The block of largest V is scored
+first; its best score is a floor, since some tuple reaches it. Only the
+blocks whose V reaches the floor get U, gathered in chunks of about
+_TILE_BYTES: on a ridge many blocks reach it, and gathering all of their k
+rows at once would hold tens of MiB at the grid cap.
+
+The walk is best-first: those blocks are visited in descending U, equal
+bounds in C order (a stable sort), and the block of largest V is not
+scored again. Each block scored can only raise the best value. The walk
+stops at the first block whose U is below the best value so far, since
+every later U is lower still, and skips a block whose U equals the best
+value when its first tuple (i0, j0, 0) comes after the best tuple: the
+block could at most tie, and a tie goes to the earlier tuple. A scored
 block replaces the best on a strictly greater value, or on an equal value
 at a lexicographically smaller tuple. The result is therefore the first
-maximum of the dense cube in C order, whatever order the blocks were
-visited in: ties go to the lexicographically smallest (i, j, k), and every
-value is the same float the dense expression would give.
+maximum of the dense cube in C order, whatever order the blocks were visited in: ties go to the
+lexicographically smallest (i, j, k), and every value is the same float
+the dense expression would give.
 
-Each stop and skip is exact, not a heuristic: IEEE-754 rounding is
+Each bound, stop and skip is exact, not a heuristic: IEEE-754 rounding is
 monotone, so fl(b + c) never exceeds fl(b' + c') when b <= b' and c <= c',
-and fl(a - s) never falls as a rises or s falls; every tuple of the block
-therefore scores at most U, overflow included. With an infinity or NaN in
-a sheet, inf - inf can make a NaN that no bound sees, so every block is
-scored, in C order, and a NaN comes first as in a dense argmax: the result
-is the lexicographically smallest NaN tuple, if there is one.
+and fl(a - s) never falls as a rises or s falls. A chunk's maximum of Jac
+is at least that of each of its k, and its minimum of Jbc at most, so
+V >= U for every block, and every tuple of the block scores at most U,
+overflow included: a block left out for V below the floor holds no tuple
+that reaches it.
+
+With an infinity or NaN in a sheet, inf - inf can make a NaN that no
+bound sees, so every block is scored, in C order, and a NaN comes first as
+in a dense argmax: the result is the lexicographically smallest NaN tuple,
+if there is one.
 """
 
 from __future__ import annotations
@@ -60,38 +75,79 @@ import numpy as np
 from .errors import ValidationError
 
 # A score cube up to this size is scored in one block with no bound pass:
-# on small grids the pass and the per-block overhead cost more than pruning
-# saves.
+# on small grids the extremes, the bounds and the per-block overhead cost
+# more than pruning saves.
 _SINGLE_BLOCK_BYTES = 8 * 2**20
 # A larger cube's blocks grow to about this size when nc is short, to stay in
-# a core's L2 cache while np.add, np.subtract and argmax pass over them.
+# a core's L2 cache while np.add, np.subtract and argmax pass over them; the
+# bound passes work in chunks of about this size too.
 _TILE_BYTES = 64 * 2**10
 # The bound pass costs at most about 1/_BOUND_SHARE of scoring every tuple:
 # a block is at least sqrt(_BOUND_SHARE) i-rows by as many j-rows.
 _BOUND_SHARE = 64
 
 
-def _block_shape(na, nb, nc):
-    """(i-rows, j-rows) of one block: the whole cube, or a square of side b."""
+def _block_side(na, nb, nc):
+    """Side b of a block of b i-rows by b j-rows; a small cube is one block."""
     if 8 * na * nb * nc <= _SINGLE_BLOCK_BYTES:
-        return na, nb
-    side = max(isqrt(_BOUND_SHARE), isqrt(_TILE_BYTES // (8 * nc)))
-    return min(side, na), min(side, nb)
+        return max(na, nb)
+    return max(isqrt(_BOUND_SHARE), isqrt(_TILE_BYTES // (8 * nc)))
 
 
-def _block_bounds(jab, jbc, jac, rows, cols):
-    """Upper bound of the score over each block of `rows` i-rows by `cols` j-rows."""
-    na, nb = jab.shape
-    nc = jac.shape[1]
-    i_starts, j_starts = np.arange(0, na, rows), np.arange(0, nb, cols)
-    min_ab = np.minimum.reduceat(np.minimum.reduceat(jab, j_starts, axis=1), i_starts, axis=0)
-    min_bc = np.minimum.reduceat(jbc, j_starts, axis=0)
-    max_ac = np.maximum.reduceat(jac, i_starts, axis=0)
+def _strided_extremes(ufunc, x, side, axis):
+    """ufunc.reduceat(x, range(0, n, side), axis) of a 2-D x, from `side`
+    strided slices reduced in place: several times faster than reduceat,
+    and equal to it, since a minimum or maximum rounds nothing."""
+    lead = (slice(None),) * axis
+    out = x[lead + (slice(0, None, side),)].copy()
+    for r in range(1, min(side, x.shape[axis])):
+        part = x[lead + (slice(r, None, side),)]
+        head = out[lead + (slice(0, part.shape[axis]),)]
+        ufunc(head, part, out=head)
+    return out
+
+
+def _block_extremes(jab, jbc, jac, side):
+    """min of Jab over each block, of Jbc over each j-block at each k, and
+    max of Jac over each i-block at each k."""
+    min_ab = _strided_extremes(np.minimum, _strided_extremes(np.minimum, jab, side, 0), side, 1)
+    min_bc = _strided_extremes(np.minimum, jbc, side, 0)
+    max_ac = _strided_extremes(np.maximum, jac, side, 0)
+    return min_ab, min_bc, max_ac
+
+
+def _exact_bounds(min_ab, min_bc, max_ac, blocks):
+    """The bound U of each of `blocks` (flat indices into min_ab), gathered
+    in chunks of about _TILE_BYTES."""
+    n_j = min_ab.shape[1]
+    nc = max_ac.shape[1]
+    bounds = np.empty(blocks.size)
+    step = max(1, _TILE_BYTES // (8 * nc))
+    buf = np.empty((min(step, blocks.size), nc))
+    flat_ab = min_ab.ravel()
+    for c0 in range(0, blocks.size, step):
+        chunk = blocks[c0 : c0 + step]
+        block_i, block_j = np.divmod(chunk, n_j)
+        v = buf[: chunk.size]
+        np.take(min_bc, block_j, axis=0, out=v)
+        np.add(flat_ab[chunk, None], v, out=v)
+        np.subtract(max_ac[block_i], v, out=v)
+        np.max(v, axis=1, out=bounds[c0 : c0 + chunk.size])
+    return bounds
+
+
+def _coarse_bounds(min_ab, min_bc, max_ac, side):
+    """The bound V of every block, over chunks of `side` k-values: at least
+    U, at 1/side of its cost."""
+    min_bc = _strided_extremes(np.minimum, min_bc, side, 1)
+    max_ac = _strided_extremes(np.maximum, max_ac, side, 1)
+    n_i, n_j = min_ab.shape
+    n_k = max_ac.shape[1]
     bounds = np.empty(min_ab.shape)
-    step = max(1, _TILE_BYTES // (8 * j_starts.size * nc))
-    buf = np.empty((step, j_starts.size, nc))
-    for b0 in range(0, i_starts.size, step):
-        b1 = min(b0 + step, i_starts.size)
+    step = max(1, _TILE_BYTES // (8 * n_j * n_k))
+    buf = np.empty((min(step, n_i), n_j, n_k))
+    for b0 in range(0, n_i, step):
+        b1 = min(b0 + step, n_i)
         v = buf[: b1 - b0]
         np.add(min_ab[b0:b1, :, None], min_bc[None, :, :], out=v)
         np.subtract(max_ac[b0:b1, None, :], v, out=v)
@@ -118,36 +174,46 @@ def _comes_first(value, at, best, arg):
 def _scan_blocks(jab, jbc, jac):
     na, nb = jab.shape
     nc = jac.shape[1]
-    rows, cols = _block_shape(na, nb, nc)
+    side = _block_side(na, nb, nc)
+    rows, cols = min(side, na), min(side, nb)
     n_j = -(-nb // cols)
     n_blocks = -(-na // rows) * n_j
     buf = np.empty((rows, cols, nc), dtype=np.float64)
-    bounds = None
-    if n_blocks > 1 and all(np.isfinite(s).all() for s in (jab, jbc, jac)):
-        flat_bounds = _block_bounds(jab, jbc, jac, rows, cols).ravel()
-        # descending bound; the stable sort keeps equal bounds in C order
-        order = np.argsort(-flat_bounds, kind="stable").tolist()
-        bounds = flat_bounds.tolist()
-    else:
-        order = range(n_blocks)
-    # (na, 0, 0) follows every tuple, so the first block scored replaces it
-    best, arg = -np.inf, (na, 0, 0)
-    for block in order:
+
+    def first_max(block):
+        """The block's first maximum (or first NaN) and its tuple."""
         block_i, block_j = divmod(block, n_j)
         i0, j0 = block_i * rows, block_j * cols
-        if bounds is not None:
-            bound = bounds[block]
-            if bound < best:  # so is every later bound
-                break
-            if bound == best and (i0, j0, 0) > arg:  # at most a later tie
-                continue
         i1, j1 = min(i0 + rows, na), min(j0 + cols, nb)
         v = _score_block(jab, jbc, jac, buf, i0, i1, j0, j1)
-        flat = int(np.argmax(v))  # the block's first maximum, or first NaN
-        value = float(v.flat[flat])
+        flat = int(np.argmax(v))
         i, rem = divmod(flat, (j1 - j0) * nc)
         j, k = divmod(rem, nc)
-        at = (i0 + i, j0 + j, k)
+        return float(v.flat[flat]), (i0 + i, j0 + j, k)
+
+    if n_blocks == 1 or not all(np.isfinite(s).all() for s in (jab, jbc, jac)):
+        # (na, 0, 0) follows every tuple, so the first block replaces it
+        best, arg = -np.inf, (na, 0, 0)
+        for block in range(n_blocks):
+            value, at = first_max(block)
+            if _comes_first(value, at, best, arg):
+                best, arg = value, at
+        return arg, best
+    extremes = _block_extremes(jab, jbc, jac, side)
+    coarse = _coarse_bounds(*extremes, side).ravel()
+    top = int(np.argmax(coarse))
+    best, arg = first_max(top)
+    blocks = np.flatnonzero(coarse >= best)  # in C order; top among them
+    bounds = _exact_bounds(*extremes, blocks)
+    # descending bound; the stable sort keeps equal bounds in C order
+    order = np.argsort(-bounds, kind="stable")
+    for block, bound in zip(blocks[order].tolist(), bounds[order].tolist()):
+        if bound < best:  # so is every later bound
+            break
+        block_i, block_j = divmod(block, n_j)
+        if block == top or (bound == best and (block_i * rows, block_j * cols, 0) > arg):
+            continue  # scored already, or at most a later tie
+        value, at = first_max(block)
         if _comes_first(value, at, best, arg):
             best, arg = value, at
     return arg, best

@@ -61,8 +61,9 @@ PROTOCOLS = ("paired", "shared")
 HOLDS_TOL = 1e-12
 SEARCH_THRESHOLD = 1e-9
 # Points per search axis. A pair sheet holds points**2 float64 values, so
-# 2048 points make 32 MiB per sheet (three per search) and 32 MiB per row
-# of the scan's score cube; the tuple count is then at most 2048**3.
+# 2048 points make 32 MiB per sheet (three per search); the scan adds one
+# block buffer and per-block bound tables, under 12 MiB at 2048 points, and
+# the tuple count is then at most 2048**3.
 MAX_GRID_POINTS = 2048
 
 

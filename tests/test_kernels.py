@@ -63,6 +63,13 @@ def _block_side(monkeypatch, tile_side, share_side, nc):
     return max(tile_side, share_side)
 
 
+def _exact_block_bounds(jab, jbc, jac, side):
+    """The per-k bound of every block of `side` i-rows by `side` j-rows."""
+    extremes = kernels._block_extremes(jab, jbc, jac, side)
+    blocks = np.arange(extremes[0].size)
+    return kernels._exact_bounds(*extremes, blocks).reshape(extremes[0].shape)
+
+
 def _count_scored(monkeypatch):
     """The (i0, j0) of every block the walk scores, in the order scored."""
     scored = []
@@ -164,7 +171,7 @@ def test_later_tile_bounded_at_the_best_keeps_the_earlier_tie(monkeypatch):
     want = _brute_force(jab, jbc, jac)
     assert want == ((0, 0, 0), 0.25)
     assert _brute_force(jab[:, 2:], jbc[2:], jac) == ((0, 0, 0), 0.25)  # (0, 2, 0) overall
-    assert kernels._block_bounds(jab, jbc, jac, 2, 2).tolist() == [[0.25, 0.5]]
+    assert _exact_block_bounds(jab, jbc, jac, 2).tolist() == [[0.25, 0.5]]
     assert scan_triple(jab, jbc, jac) == want
     assert scored == [(0, 2), (0, 0)]
 
@@ -233,20 +240,35 @@ def test_walk_scores_no_tile_of_a_block_below_the_floor(monkeypatch, ridge_maxim
     jab, jbc, jac = RIDGE_SHEETS[name]
     (na, nb), nc = jab.shape, jac.shape[1]
     side = _block_side(monkeypatch, tile_side, share_side, nc)
+    bounds = _exact_block_bounds(jab, jbc, jac, side)
+    assert bounds.shape == (-(-na // side), -(-nb // side))
+    coarse = kernels._coarse_bounds(*kernels._block_extremes(jab, jbc, jac, side), side)
     scored = _count_scored(monkeypatch)
+    gathered = []
+    exact_bounds = kernels._exact_bounds
+
+    def counted(min_ab, min_bc, max_ac, blocks):
+        gathered.append(blocks.size)
+        return exact_bounds(min_ab, min_bc, max_ac, blocks)
+
+    monkeypatch.setattr(kernels, "_exact_bounds", counted)
     arg, floor = scan_triple(jab, jbc, jac)
     assert (arg, floor) == ridge_maxima[name]
 
-    bounds = kernels._block_bounds(jab, jbc, jac, side, side)
-    assert bounds.shape == (-(-na // side), -(-nb // side))
     below = bounds < floor
     assert below.any()  # the ridge leaves some blocks to prune
     scored_bounds = [bounds[i0 // side, j0 // side] for i0, j0 in scored]
     assert not any(bound < floor for bound in scored_bounds)
-    # best first: the block of highest bound, then never a higher bound
-    assert scored_bounds[0] == bounds.max()
-    assert scored_bounds == sorted(scored_bounds, reverse=True)
+    # best first: the block of highest coarse bound, then never a higher
+    # exact bound
+    assert np.unravel_index(int(np.argmax(coarse)), coarse.shape) == (
+        scored[0][0] // side, scored[0][1] // side)
+    assert scored_bounds[1:] == sorted(scored_bounds[1:], reverse=True)
     assert len(set(scored)) == len(scored) < bounds.size
+    # exact bounds only for the blocks whose coarse bound reaches the
+    # top block's best
+    assert len(gathered) == 1
+    assert len(scored) <= gathered[0] < bounds.size
 
 
 @pytest.mark.parametrize("shape", [(512, 8, 8), (8, 512, 8), (8, 8, 512)])
@@ -281,16 +303,55 @@ def test_scan_is_the_dense_first_maximum_on_drawn_sheets(sheets, side):
         assert scan_triple(*sheets) == _dense_first(*sheets)  # value bit for bit
 
 
-def test_scan_memory_is_bounded():
-    th = np.linspace(0.0, np.pi, 384)
-    sheets = _paired_pair_matrices(th, th, th, singlet_state())
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(sheets=tie_heavy_sheets(), side=st.integers(1, 6))
+def test_coarse_bound_holds_the_exact_bound_and_the_exact_bound_every_score(sheets, side):
+    # k-chunks of `side` values are ragged at the end of most drawn k axes
+    jab, jbc, jac = sheets
+    extremes = kernels._block_extremes(jab, jbc, jac, side)
+    coarse = kernels._coarse_bounds(*extremes, side)
+    exact = _exact_block_bounds(jab, jbc, jac, side)
+    cube = jac[:, None, :] - (jab[:, :, None] + jbc[None, :, :])
+    for (block_i, block_j), bound in np.ndenumerate(exact):
+        block = cube[block_i * side:(block_i + 1) * side, block_j * side:(block_j + 1) * side]
+        assert coarse[block_i, block_j] >= bound >= block.max()
+
+
+@pytest.mark.parametrize("side, n", [(side, n) for side in (1, 2, 3, 8)
+                                     for n in sorted({1, side - 1, side, side + 1, 3 * side + 5})
+                                     if n >= 1])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_strided_extremes_equal_reduceat(side, n, axis):
+    rng = np.random.default_rng(n * side)
+    shape = (n, 7) if axis == 0 else (7, n)
+    x = rng.integers(-3, 4, size=shape) / 2.0  # ties within a block
+    starts = np.arange(0, n, side)
+    for ufunc in (np.minimum, np.maximum):
+        assert np.array_equal(kernels._strided_extremes(ufunc, x, side, axis),
+                              ufunc.reduceat(x, starts, axis=axis))
+
+
+def _scan_peak(sheets):
     tracemalloc.start()
     try:
         scan_triple(*sheets)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20  # the dense 384^3 cube alone is 432 MiB
+
+
+def test_scan_memory_is_bounded():
+    th = np.linspace(0.0, np.pi, 384)
+    sheets = _paired_pair_matrices(th, th, th, singlet_state())
+    assert _scan_peak(sheets) <= 8 * 2**20  # the dense 384^3 cube alone is 432 MiB
+
+
+def test_ridge_scan_gathers_its_bound_candidates_in_chunks():
+    # on the singlet's ridge many blocks reach the best value; gathering
+    # all of their k rows at once would hold ~55 MiB at 1024 points
+    th = np.linspace(0.0, np.pi, 1024)
+    sheets = _paired_pair_matrices(th, th, th, singlet_state())
+    assert _scan_peak(sheets) <= 8 * 2**20
 
 
 def test_ties_break_to_first_tuple():
