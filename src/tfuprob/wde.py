@@ -316,7 +316,14 @@ def _pair_amplitude_table(th_x, th_y, state4) -> np.ndarray:
 
 
 def _paired_pair_matrices(th_a, th_b, th_c, state: ComplexStateVector):
+    """Jab, Jbc, Jac of the paired protocol. When the three axes are one
+    array, so are the three sheets: the one table, read-only, since a write
+    through one name would change all three."""
     s4 = state.amplitudes
+    if th_a is th_b is th_c:
+        table = _pair_amplitude_table(th_a, th_a, s4)
+        table.flags.writeable = False
+        return table, table, table
     return (
         _pair_amplitude_table(th_a, th_b, s4),
         _pair_amplitude_table(th_b, th_c, s4),
@@ -392,7 +399,8 @@ def search_violation(
             raise ValidationError(
                 f"grid has {g.points} points per axis, over the limit of {MAX_GRID_POINTS}"
             )
-    th_a, th_b, th_c = (g.values() for g in grids)
+    values = {g: g.values() for g in set(grids)}  # equal grids share one array
+    th_a, th_b, th_c = (values[g] for g in grids)
 
     if protocol == "paired":
         if state.dim != 4:

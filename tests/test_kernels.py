@@ -67,17 +67,32 @@ def _exact_block_bounds(jab, jbc, jac, side):
     """The per-k bound of every block of `side` i-rows by `side` j-rows."""
     extremes = kernels._block_extremes(jab, jbc, jac, side)
     blocks = np.arange(extremes[0].size)
-    return kernels._exact_bounds(*extremes, blocks).reshape(extremes[0].shape)
+    bounds, _, _ = kernels._exact_bounds(*extremes, blocks, -np.inf)
+    return bounds.reshape(extremes[0].shape)
+
+
+def _per_k_bounds(jab, jbc, jac, side):
+    """max_ac[I, k] - (min_ab[I, J] + min_bc[J, k]) of every block (I, J) of
+    `side` i-rows by `side` j-rows, shape (blocks in C order, nc), from
+    reduceat."""
+    na, nb = jab.shape
+    rows_i, rows_j = np.arange(0, na, side), np.arange(0, nb, side)
+    min_ab = np.minimum.reduceat(np.minimum.reduceat(jab, rows_i, axis=0), rows_j, axis=1)
+    min_bc = np.minimum.reduceat(jbc, rows_j, axis=0)
+    max_ac = np.maximum.reduceat(jac, rows_i, axis=0)
+    per_k = max_ac[:, None, :] - (min_ab[:, :, None] + min_bc[None, :, :])
+    return per_k.reshape(-1, jac.shape[1])
 
 
 def _count_scored(monkeypatch):
-    """The (i0, j0) of every block the walk scores, in the order scored."""
+    """The (i0, i1, j0, j1, k0, k1) of every block the walk scores, in the
+    order scored."""
     scored = []
     score_block = kernels._score_block
 
-    def counted(jab, jbc, jac, buf, i0, i1, j0, j1):
-        scored.append((i0, j0))
-        return score_block(jab, jbc, jac, buf, i0, i1, j0, j1)
+    def counted(jab, jbc, jac, buf, *extent):
+        scored.append(extent)
+        return score_block(jab, jbc, jac, buf, *extent)
 
     monkeypatch.setattr(kernels, "_score_block", counted)
     return scored
@@ -173,7 +188,7 @@ def test_later_tile_bounded_at_the_best_keeps_the_earlier_tie(monkeypatch):
     assert _brute_force(jab[:, 2:], jbc[2:], jac) == ((0, 0, 0), 0.25)  # (0, 2, 0) overall
     assert _exact_block_bounds(jab, jbc, jac, 2).tolist() == [[0.25, 0.5]]
     assert scan_triple(jab, jbc, jac) == want
-    assert scored == [(0, 2), (0, 0)]
+    assert [(i0, j0) for i0, _, j0, *_ in scored] == [(0, 2), (0, 0)]
 
 
 @pytest.mark.parametrize("side", [1, 2, 3])
@@ -243,13 +258,14 @@ def test_walk_scores_no_tile_of_a_block_below_the_floor(monkeypatch, ridge_maxim
     bounds = _exact_block_bounds(jab, jbc, jac, side)
     assert bounds.shape == (-(-na // side), -(-nb // side))
     coarse = kernels._coarse_bounds(*kernels._block_extremes(jab, jbc, jac, side), side)
+    per_k = _per_k_bounds(jab, jbc, jac, side)
     scored = _count_scored(monkeypatch)
     gathered = []
     exact_bounds = kernels._exact_bounds
 
-    def counted(min_ab, min_bc, max_ac, blocks):
+    def counted(min_ab, min_bc, max_ac, blocks, floor):
         gathered.append(blocks.size)
-        return exact_bounds(min_ab, min_bc, max_ac, blocks)
+        return exact_bounds(min_ab, min_bc, max_ac, blocks, floor)
 
     monkeypatch.setattr(kernels, "_exact_bounds", counted)
     arg, floor = scan_triple(jab, jbc, jac)
@@ -257,18 +273,30 @@ def test_walk_scores_no_tile_of_a_block_below_the_floor(monkeypatch, ridge_maxim
 
     below = bounds < floor
     assert below.any()  # the ridge leaves some blocks to prune
-    scored_bounds = [bounds[i0 // side, j0 // side] for i0, j0 in scored]
+    blocks = [(i0 // side, j0 // side) for i0, _, j0, *_ in scored]
+    scored_bounds = [bounds[block] for block in blocks]
     assert not any(bound < floor for bound in scored_bounds)
     # best first: the block of highest coarse bound, then never a higher
     # exact bound
-    assert np.unravel_index(int(np.argmax(coarse)), coarse.shape) == (
-        scored[0][0] // side, scored[0][1] // side)
+    assert np.unravel_index(int(np.argmax(coarse)), coarse.shape) == blocks[0]
     assert scored_bounds[1:] == sorted(scored_bounds[1:], reverse=True)
-    assert len(set(scored)) == len(scored) < bounds.size
+    assert len(set(blocks)) == len(blocks) < bounds.size
     # exact bounds only for the blocks whose coarse bound reaches the
     # top block's best
     assert len(gathered) == 1
     assert len(scored) <= gathered[0] < bounds.size
+    # each block's k-range holds every k whose per-k bound reaches the
+    # result, and on the ridge the ranges leave some k out
+    for (block_i, block_j), (_, _, _, _, k0, k1) in zip(blocks, scored):
+        reach = np.flatnonzero(per_k[block_i * bounds.shape[1] + block_j] >= floor)
+        assert k0 <= reach[0] and reach[-1] < k1
+    # the top block is scored over all k, since it sets the floor; with
+    # blocks of one tuple per k it is the only one scored
+    walk = scored[1:]
+    assert scored[0][4:] == (0, nc) and bool(walk) == (side > 1)
+    tuples = sum((i1 - i0) * (j1 - j0) * (k1 - k0) for i0, i1, j0, j1, k0, k1 in walk)
+    whole = sum((i1 - i0) * (j1 - j0) * nc for i0, i1, j0, j1, _, _ in walk)
+    assert tuples < whole or not walk
 
 
 @pytest.mark.parametrize("shape", [(512, 8, 8), (8, 512, 8), (8, 8, 512)])
@@ -317,6 +345,26 @@ def test_coarse_bound_holds_the_exact_bound_and_the_exact_bound_every_score(shee
         assert coarse[block_i, block_j] >= bound >= block.max()
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(sheets=tie_heavy_sheets(), side=st.integers(1, 6), data=st.data())
+def test_k_range_runs_from_the_first_to_past_the_last_k_that_reaches_the_floor(sheets, side,
+                                                                             data):
+    # the floor is one of the per-k bounds, so on these quarter-integer
+    # sheets some blocks reach it exactly, at either edge of their range
+    jab, jbc, jac = sheets
+    nc = jac.shape[1]
+    per_k = _per_k_bounds(jab, jbc, jac, side)
+    floor = data.draw(st.sampled_from(sorted(set(per_k.ravel().tolist()))))
+    extremes = kernels._block_extremes(jab, jbc, jac, side)
+    blocks = np.arange(per_k.shape[0])
+    bounds, k0, k1 = kernels._exact_bounds(*extremes, blocks, floor)
+    assert np.array_equal(bounds, per_k.max(axis=1))
+    for block, row in enumerate(per_k):
+        reach = np.flatnonzero(row >= floor)
+        want = (reach[0], reach[-1] + 1) if reach.size else (0, nc)
+        assert (k0[block], k1[block]) == want
+
+
 @pytest.mark.parametrize("side, n", [(side, n) for side in (1, 2, 3, 8)
                                      for n in sorted({1, side - 1, side, side + 1, 3 * side + 5})
                                      if n >= 1])
@@ -352,6 +400,29 @@ def test_ridge_scan_gathers_its_bound_candidates_in_chunks():
     th = np.linspace(0.0, np.pi, 1024)
     sheets = _paired_pair_matrices(th, th, th, singlet_state())
     assert _scan_peak(sheets) <= 8 * 2**20
+
+
+def test_singlet_scan_at_1024_points_scores_few_of_its_tuples(monkeypatch):
+    # a count, not a time: the singlet's ridge keeps thousands of blocks at
+    # the best value, and each is scored only over the k that can reach it
+    th = np.linspace(0.0, np.pi, 1024)
+    sheets = _paired_pair_matrices(th, th, th, singlet_state())
+    scored = _count_scored(monkeypatch)
+    scan_triple(*sheets)
+    tuples = sum((i1 - i0) * (j1 - j0) * (k1 - k0) for i0, i1, j0, j1, k0, k1 in scored)
+    assert tuples <= 0.05 * 1024**3
+
+
+@pytest.mark.parametrize("n", [8, 200])
+def test_scan_does_not_write_its_sheets(n):
+    # one grid for all three axes gives one sheet three times over; the
+    # single-block path (n = 8) and the bound path (n = 200) only read it
+    rng = np.random.default_rng(n)
+    sheets = [rng.uniform(size=(n, n)) for _ in range(3)]
+    want = scan_triple(*sheets)
+    for sheet in sheets:
+        sheet.flags.writeable = False
+    assert scan_triple(*sheets) == want
 
 
 def test_ties_break_to_first_tuple():

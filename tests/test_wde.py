@@ -475,3 +475,36 @@ def test_paired_sheets_memory_is_bounded():
         tracemalloc.stop()
     assert sum(sheet.nbytes for sheet in sheets) == 24 * 2**20
     assert peak <= 32 * 2**20  # one expression over a whole sheet peaked at 56 MiB
+
+
+@pytest.mark.parametrize("state", [singlet_state(), ComplexStateVector(
+    np.array([0.1 + 0.5j, -0.3, 0.6j, 0.2 - 0.4j]) / np.sqrt(0.91))])
+def test_paired_sheets_of_one_axis_array_are_one_read_only_table(state):
+    th = np.linspace(-0.4, 3.5, 37)
+    jab, jbc, jac = wde._paired_pair_matrices(th, th, th, state)
+    assert jab is jbc is jac and not jab.flags.writeable
+    # three arrays of the same angles build the same three sheets apart
+    for sheet in wde._paired_pair_matrices(th, th.copy(), th.copy(), state):
+        assert sheet.flags.writeable
+        assert np.array_equal(sheet, jab)
+
+
+def test_search_takes_the_angles_of_each_distinct_grid_once(monkeypatch):
+    built = []
+    values = AngleGrid.values
+
+    def counted(grid):
+        built.append(grid)
+        return values(grid)
+
+    monkeypatch.setattr(AngleGrid, "values", counted)
+    grid = AngleGrid(0.0, np.pi, np.pi / 16)
+    one = search_violation(grid, singlet_state(), protocol="paired")
+    assert built == [grid]
+    # equal grids given apart read as the one grid
+    assert search_violation(tuple(grid.with_step(grid.step) for _ in range(3)),
+                            singlet_state(), protocol="paired") == one
+    assert len(built) == 2
+    other = AngleGrid(0.0, np.pi, np.pi / 8)
+    search_violation((grid, other, grid), singlet_state(), protocol="paired")
+    assert len(built) == 4
