@@ -415,8 +415,9 @@ def test_singlet_scan_at_1024_points_scores_few_of_its_tuples(monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 200])
 def test_scan_does_not_write_its_sheets(n):
-    # one grid for all three axes gives one sheet three times over; the
-    # single-block path (n = 8) and the bound path (n = 200) only read it
+    # a paired search on one grid hands the scan one read-only table as all
+    # three sheets; the single-block path (n = 8) and the bound path
+    # (n = 200) must only read their sheets
     rng = np.random.default_rng(n)
     sheets = [rng.uniform(size=(n, n)) for _ in range(3)]
     want = scan_triple(*sheets)
