@@ -22,8 +22,7 @@ to stay in a core's L2 cache while np.add, np.subtract and argmax pass over
 it. Each block is scored into one reused buffer, and argmax takes its first
 maximum, the lexicographically smallest (i, j, k) of its best score.
 
-When all three sheets are finite, each block (i-rows I by j-rows J) has
-the per-k bound
+Each block (i-rows I by j-rows J) has the per-k bound
 
     u[k] = max_I Jac[i, k] - (min_IxJ Jab[i, j] + min_J Jbc[j, k])
 
@@ -72,10 +71,11 @@ most, so V >= U for every block, and every tuple (i, j, k) of the block
 scores at most u[k], overflow included: a block left out for V below the
 floor, or a k left out for u[k] below it, holds no tuple that reaches it.
 
-With an infinity or NaN in a sheet, inf - inf can make a NaN that no
-bound sees, so every block is scored, in C order, and a NaN comes first as
-in a dense argmax: the result is the lexicographically smallest NaN tuple,
-if there is one.
+The sheets must be finite: scan_triple refuses a NaN or an infinity
+before anything is scored. A finite sheet can still overflow a score or a
+bound to +inf or -inf, which the argument above covers, but never to NaN:
+the sum of two finite numbers is a number or an infinity, and Jac is
+finite, while inf - inf would need an infinite Jac.
 """
 
 from __future__ import annotations
@@ -195,26 +195,16 @@ def _score_block(jab, jbc, jac, buf, i0, i1, j0, j1, k0, k1):
     return buf[:n]
 
 
-def _comes_first(value, at, best, arg):
-    """Whether `value` at tuple `at` precedes `best` at `arg` in a dense argmax:
-    a NaN before any number, then the greater value, then the smaller tuple."""
-    if best != best:
-        return value != value and at < arg
-    return value != value or value > best or (value == best and at < arg)
-
-
 def _scan_blocks(jab, jbc, jac):
     na, nb = jab.shape
     nc = jac.shape[1]
     side = _block_side(na, nb, nc)
     rows, cols = min(side, na), min(side, nb)
     n_j = -(-nb // cols)
-    n_blocks = -(-na // rows) * n_j
     buf = np.empty(rows * cols * nc, dtype=np.float64)
 
     def first_max(i0, i1, j0, j1, k0, k1):
-        """The first maximum (or first NaN) of tuples i0:i1 x j0:j1 x k0:k1,
-        and its tuple."""
+        """The first maximum of tuples i0:i1 x j0:j1 x k0:k1, and its tuple."""
         v = _score_block(jab, jbc, jac, buf, i0, i1, j0, j1, k0, k1)
         flat = int(v.argmax())
         i, rem = divmod(flat, (j1 - j0) * (k1 - k0))
@@ -226,13 +216,8 @@ def _scan_blocks(jab, jbc, jac):
         i0, j0 = block // n_j * rows, block % n_j * cols
         return first_max(i0, min(i0 + rows, na), j0, min(j0 + cols, nb), 0, nc)
 
-    if n_blocks == 1 or not all(np.isfinite(s).all() for s in (jab, jbc, jac)):
-        # (na, 0, 0) follows every tuple, so the first block replaces it
-        best, arg = -np.inf, (na, 0, 0)
-        for block in range(n_blocks):
-            value, at = block_max(block)
-            if _comes_first(value, at, best, arg):
-                best, arg = value, at
+    if (rows, cols) == (na, nb):  # one block
+        best, arg = block_max(0)
         return arg, best
     extremes = _block_extremes(jab, jbc, jac, side)
     coarse = _coarse_bounds(*extremes, side).ravel()
@@ -256,7 +241,7 @@ def _scan_blocks(jab, jbc, jac):
         if block == top or (bound == best and (i0, j0, 0) > arg):
             continue  # scored already, or at most a later tie
         value, at = first_max(i0, i1, j0, j1, k0, k1)
-        if value > best or (value == best and at < arg):  # no NaN in finite sheets
+        if value > best or (value == best and at < arg):
             best, arg = value, at
     return arg, best
 
@@ -264,7 +249,8 @@ def _scan_blocks(jab, jbc, jac):
 def scan_triple(jab, jbc, jac):
     """Maximize Jac[i,k] - (Jab[i,j] + Jbc[j,k]); returns ((i,j,k), value).
 
-    Ties go to the lexicographically smallest tuple.
+    Ties go to the lexicographically smallest tuple. The sheets must be
+    finite: a NaN or an infinity in one raises ValidationError.
     """
     jab = np.ascontiguousarray(jab, dtype=np.float64)
     jbc = np.ascontiguousarray(jbc, dtype=np.float64)
@@ -278,4 +264,11 @@ def scan_triple(jab, jbc, jac):
         )
     if 0 in (na, nb, jac.shape[1]):
         raise ValidationError("empty grid axis")
+    for name, sheet in (("Jab", jab), ("Jbc", jbc), ("Jac", jac)):
+        if not np.isfinite(sheet).all():
+            i, j = np.argwhere(~np.isfinite(sheet))[0].tolist()
+            raise ValidationError(
+                f"pair matrix {name} holds {float(sheet[i, j])} at ({i}, {j}); "
+                "sheets must be finite"
+            )
     return _scan_blocks(jab, jbc, jac)

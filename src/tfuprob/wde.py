@@ -387,6 +387,11 @@ def search_violation(
     dense operator path. A witness is returned only when the violation
     exceeds SEARCH_THRESHOLD; otherwise None. An axis with more than
     MAX_GRID_POINTS points is rejected before anything is allocated.
+
+    The pair sheets are finite by construction: the grid angles are finite,
+    so are their sines and cosines, and the state is a unit vector, so each
+    cell is built from a few numbers no larger than about 1 in magnitude.
+    The scan's refusal of a NaN or an infinity is never reached from here.
     """
     _check_ordering(ordering)
     if protocol not in PROTOCOLS:

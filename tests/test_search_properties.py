@@ -12,6 +12,9 @@ reach past 2 pi, where the angles of a direction repeat.
 * `search` and `eval` agree: `eval` of the file with the witness angles
   as its directions gives the witness triple, bit for bit in the library
   and byte for byte in the reports.
+* The pair sheets of both protocols, in both orderings and on every
+  factor, are finite for any finite angles and any unit state, so the
+  scan's refusal of a NaN or an infinity is never reached from a search.
 
 The examples are derandomized and kept in no example database, so every
 run checks the same files.
@@ -28,6 +31,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tfuprob import cli, kernels, problemfile, wde
+from tfuprob.quantum import ComplexStateVector
 
 FIXED = settings(
     derandomize=True,
@@ -143,3 +147,36 @@ def test_search_witness_is_what_eval_gives_at_its_angles(tmp_path_factory, file)
     triple = wde.wde_quantum(*problem.tests, problem.state, problem.ordering,
                              problem.protocol, problem.factor)
     assert triple == witness.triple  # bit for bit
+
+
+# finite angles of any magnitude, and angles at which a direction is a
+# basis vector (up to the rounding of pi), so that a basis state has Born
+# weight 0 or nearly 0 there
+ANGLES = st.one_of(
+    st.sampled_from((0.0, PI, -PI, 2 * PI)),
+    st.floats(-4 * PI, 4 * PI),
+    st.floats(1e299, 1e301) | st.floats(-1e301, -1e299),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _unit_state(draw, qubits: int) -> ComplexStateVector:
+    if draw(st.booleans()):  # a basis vector
+        return ComplexStateVector(np.eye(1 << qubits)[draw(st.integers(0, (1 << qubits) - 1))])
+    amps = np.array(draw(_state(qubits)))  # [re, im] pairs, or the singlet's reals
+    return ComplexStateVector(amps @ [1.0, 1j] if amps.ndim == 2 else amps)
+
+
+@settings(FIXED, max_examples=200)
+@given(data=st.data(), qubits=st.integers(1, 3), one_axis=st.booleans())
+def test_pair_sheets_of_finite_angles_and_a_unit_state_are_finite(data, qubits, one_axis):
+    axes = [np.array(data.draw(st.lists(ANGLES, min_size=1, max_size=6))) for _ in range(3)]
+    if one_axis:  # one array for all three axes, as a search on one grid passes
+        axes = [axes[0]] * 3
+    shared = data.draw(_unit_state(qubits))
+    builds = [wde._paired_pair_matrices(*axes, data.draw(_unit_state(2)))]
+    builds += [wde._shared_pair_matrices(*axes, shared, factor, ordering)
+               for factor in range(qubits) for ordering in wde.ORDERINGS]
+    for sheets in builds:
+        assert all(np.isfinite(sheet).all() for sheet in sheets)
