@@ -163,62 +163,39 @@ def conditional(
     return project(p, s).conditional(q, tol)
 
 
-@dataclass(frozen=True, eq=False)
-class Direction:
-    """A ray: nonzero vector remembered as a unit vector."""
-
-    unit: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.unit, dtype=float).copy()
-        if arr.ndim != 1:
-            raise ValidationError("direction must be one-dimensional")
-        norm = float(np.linalg.norm(arr))
-        if norm <= 0.0:
-            raise ValidationError("zero vector has no direction")
-        arr = arr / norm
-        arr.setflags(write=False)
-        object.__setattr__(self, "unit", arr)
-
-
-def state_direction(s: RealStateVector) -> Direction:
-    return Direction(s.components)
-
-
 @dataclass(eq=False, slots=True)
 class Projection:
-    """P|s> of one projector and state, built once and read by everything
-    that conditions on P: the vector, its squared length <s|P|s> and, when
-    that is positive, the unit vector P|s> / ||P|s||.
+    """The ray of P|s> for one projector and state, built once and read by
+    everything that conditions on P: the squared length <s|P|s> and the unit
+    vector P|s> / ||P|s||, all NaN when the projection is null. The state's
+    own ray is the projection onto the identity.
 
-    `unit` divides by sqrt(weight), which is what np.linalg.norm computes,
-    so it is bit for bit the vector Direction(P|s>) keeps.
+    `unit` divides by sqrt(weight), which is what np.linalg.norm computes.
     """
 
-    vector: np.ndarray
     weight: float
-    unit: np.ndarray | None
+    unit: np.ndarray
 
     def conditional(self, q: HermitianProjector | int, tol: float = IDENTITY_TOL) -> float:
         """Probability of q, a mask projector or a proposition index, on the
         renormalized projection; see `conditional`."""
-        mask = _mask(q, self.vector.size) if isinstance(q, HermitianProjector) else None
+        mask = _mask(q, self.unit.size) if isinstance(q, HermitianProjector) else None
         if self.weight <= tol:
             raise UndefinedConditionalError(
                 f"cannot condition: the condition has probability {self.weight!r} <= {tol}"
             )
-        # a null projection gets here only with a negative or NaN tol: 0/0
-        unit = self.unit if self.unit is not None else self.vector / np.sqrt(self.weight)
-        kept = unit[mask] if mask is not None else affirmed(unit, q)
+        kept = self.unit[mask] if mask is not None else affirmed(self.unit, q)
         return min(float(np.dot(kept, kept)), 1.0)
 
-    def direction(self) -> Direction:
-        """Direction of P|s>; raises when the projection is null."""
-        if self.unit is None:
+    def direction(self) -> Projection:
+        """This ray; raises when the projection is null."""
+        if self.weight <= 0.0:
             raise ValidationError("zero vector has no direction")
-        direction = object.__new__(Direction)  # already a unit vector
-        object.__setattr__(direction, "unit", self.unit)
-        return direction
+        return self
+
+
+def state_direction(s: RealStateVector) -> Projection:
+    return _projection(s.components)
 
 
 def project(p: HermitianProjector, s: RealStateVector) -> Projection:
@@ -226,13 +203,10 @@ def project(p: HermitianProjector, s: RealStateVector) -> Projection:
 
 
 def _projection(vector: np.ndarray) -> Projection:
-    vector.setflags(write=False)
     weight = float(np.dot(vector, vector))
-    if weight <= 0.0:
-        return Projection(vector, weight, None)
-    unit = vector / np.sqrt(weight)
+    unit = vector / np.sqrt(weight) if weight > 0.0 else np.full(vector.size, np.nan)
     unit.setflags(write=False)
-    return Projection(vector, weight, unit)
+    return Projection(weight, unit)
 
 
 def affirmed(vector: np.ndarray, *props: int) -> np.ndarray:
@@ -258,12 +232,12 @@ def project_affirmed(s: RealStateVector, *props: int) -> Projection:
     return _projection(vector)
 
 
-def projected_direction(p: HermitianProjector, s: RealStateVector) -> Direction:
+def projected_direction(p: HermitianProjector, s: RealStateVector) -> Projection:
     """Direction of P|s>; raises when the projection is null."""
     return project(p, s).direction()
 
 
-def cos2(a: Direction, b: Direction) -> float:
+def cos2(a: Projection, b: Projection) -> float:
     """Squared cosine of the angle between two rays."""
     if a.unit.size != b.unit.size:
         raise ValidationError("directions live in different dimensions")

@@ -102,17 +102,15 @@ def _eval_classical(problem: ClassicalProblem, args) -> dict:
         return min(float(np.dot(kept, kept)), 1.0)
 
     probs = [weight(i) for i in range(n)]
-    # P|s> of each proposition, read by every pair that conditions on it
+    # the ray of P|s> of each proposition, read by every pair that conditions on it
     projections = [classical.project_affirmed(vec, i) for i in range(n)]
-    # the direction of P|s>, for each proposition with probability above tol
-    dirs = [None] * n
 
     propositions = {}
     for i, name in enumerate(names):
         entry = {f"|{name}|": probs[i]}
         if probs[i] > tol:
-            dirs[i] = projections[i].direction()
-            entry[f"cos2({name.upper()},S)"] = classical.cos2(state_dir, dirs[i])
+            dir_p = projections[i].direction()
+            entry[f"cos2({name.upper()},S)"] = classical.cos2(state_dir, dir_p)
         propositions[name] = entry
 
     pairs = {}
@@ -126,7 +124,8 @@ def _eval_classical(problem: ClassicalProblem, args) -> dict:
             with _labeled(f"|{pn}|_{qn}"):
                 entry[f"|{pn}|_{qn}"] = projections[j].conditional(i, tol)
             if probs[i] > tol and probs[j] > tol:
-                dir_p, dir_q = dirs[i], dirs[j]
+                # both rays passed direction() in the loop above
+                dir_p, dir_q = projections[i], projections[j]
                 entry[f"cos2({pn.upper()},{qn.upper()})"] = classical.cos2(dir_p, dir_q)
                 if joint > tol:
                     dir_pq = classical.project_affirmed(vec, i, j).direction()

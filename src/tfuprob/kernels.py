@@ -75,7 +75,9 @@ The sheets must be finite: scan_triple refuses a NaN or an infinity
 before anything is scored. A finite sheet can still overflow a score or a
 bound to +inf or -inf, which the argument above covers, but never to NaN:
 the sum of two finite numbers is a number or an infinity, and Jac is
-finite, while inf - inf would need an infinite Jac.
+finite, while inf - inf would need an infinite Jac. Such an overflow is
+part of the exact result, so the walk runs with numpy's overflow warning
+off.
 """
 
 from __future__ import annotations
@@ -250,7 +252,8 @@ def scan_triple(jab, jbc, jac):
     """Maximize Jac[i,k] - (Jab[i,j] + Jbc[j,k]); returns ((i,j,k), value).
 
     Ties go to the lexicographically smallest tuple. The sheets must be
-    finite: a NaN or an infinity in one raises ValidationError.
+    finite: a NaN or an infinity in one raises ValidationError. A score
+    that overflows is -inf or +inf, with no warning.
     """
     jab = np.ascontiguousarray(jab, dtype=np.float64)
     jbc = np.ascontiguousarray(jbc, dtype=np.float64)
@@ -264,11 +267,17 @@ def scan_triple(jab, jbc, jac):
         )
     if 0 in (na, nb, jac.shape[1]):
         raise ValidationError("empty grid axis")
+    checked = []
     for name, sheet in (("Jab", jab), ("Jbc", jbc), ("Jac", jac)):
-        if not np.isfinite(sheet).all():
-            i, j = np.argwhere(~np.isfinite(sheet))[0].tolist()
+        if any(sheet is seen for seen in checked):
+            continue  # one table passed as two sheets is read once
+        checked.append(sheet)
+        finite = np.isfinite(sheet)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0].tolist()
             raise ValidationError(
                 f"pair matrix {name} holds {float(sheet[i, j])} at ({i}, {j}); "
                 "sheets must be finite"
             )
-    return _scan_blocks(jab, jbc, jac)
+    with np.errstate(over="ignore"):  # a score or bound may overflow; see above
+        return _scan_blocks(jab, jbc, jac)

@@ -217,6 +217,25 @@ def test_search_rejects_non_quantum_file(capsys):
     assert "error:" in err and "quantum" in err
 
 
+def test_classical_eval_peak_holds_one_ray_per_proposition(capsys, tmp_path):
+    # eval keeps the unit vector of each proposition's projection, n vectors
+    # of 2^n floats, besides the state, the parsed file and the report: its
+    # peak is about (n + 10) * 2^n * 8 bytes
+    n = 16
+    path = tmp_path / "uniform.json"
+    path.write_text(json.dumps(
+        {"version": 1, "mode": "classical", "n": n, "probs": [2.0 ** -n] * 2 ** n}
+    ))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "eval", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    assert peak <= (n + 12) * 2 ** n * 8, peak
+
+
 def test_search_requires_grid(capsys, tmp_path):
     payload = {
         "version": 1, "mode": "wde", "variant": "quantum", "protocol": "paired",

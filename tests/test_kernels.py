@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -417,6 +418,53 @@ def test_scan_refuses_a_sheet_that_is_not_finite(data, shape, bad, bounded):
             _square_blocks(mp, 2)
         with pytest.raises(ValidationError, match=rf"{name} holds {bad} at \({i}, {j}\);"):
             scan_triple(*sheets)
+
+
+def test_scan_reads_one_table_passed_as_every_sheet_once(monkeypatch):
+    # the paired search on one grid passes its one read-only table as all
+    # three sheets; the finite check reads it once and names it Jab
+    read = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda x: read.append(x) or isfinite(x))
+
+    def passes(sheet):
+        return sum(x is sheet for x in read)
+
+    t = np.random.default_rng(3).uniform(size=(5, 5))
+    t.flags.writeable = False
+    assert scan_triple(t, t, t) == _dense_first(t, t, t)
+    assert passes(t) == 1
+    t = t.copy()
+    t[2, 3] = np.nan
+    read.clear()
+    with pytest.raises(ValidationError, match=r"Jab holds nan at \(2, 3\);"):
+        scan_triple(t, t, t)
+    assert passes(t) == 1
+    u = np.where(np.isnan(t), 0.5, t)
+    read.clear()
+    with pytest.raises(ValidationError, match=r"Jbc holds nan at \(2, 3\);"):
+        scan_triple(u, t, t)
+    assert (passes(u), passes(t)) == (1, 1)
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+def test_overflowing_scores_are_exact_and_warn_nothing(monkeypatch, bounded):
+    # finite sheets near +-1e308 overflow scores and bounds to +-inf: the
+    # result is still the dense first maximum, and numpy warns nothing
+    if bounded:
+        _square_blocks(monkeypatch, 2)
+    b = np.full((3, 3), 1e308)
+    rng = np.random.default_rng(17)
+    cases = [(b, b, -b)] + [
+        tuple(x * 1e308 for x in _random_tables(rng, 5, 6, 7)) for _ in range(5)
+    ]
+    for jab, jbc, jac in cases:
+        with np.errstate(over="ignore"):
+            want = _dense_first(jab, jbc, jac)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert scan_triple(jab, jbc, jac) == want
+    assert scan_triple(b, b, -b) == ((0, 0, 0), -np.inf)
 
 
 def test_scan_shape_validation():
