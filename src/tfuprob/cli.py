@@ -22,6 +22,8 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 
@@ -75,11 +77,10 @@ def _eval_tfu_table(problem: TfuTableProblem, args) -> dict:
     table = problem.table
     names = default_names(table.n)
     derived = logic.derived_values(table)
-    conjunctions = {}
-    for i in range(table.n):
-        for j in range(i + 1, table.n):
-            value = logic.conjunction_value(table, i, j)
-            conjunctions[f"{names[i]}&{names[j]}"] = str(value)
+    conjunctions = {
+        f"{names[i]}&{names[j]}": str(logic.conjunction_value(table, i, j))
+        for i, j in combinations(range(table.n), 2)
+    }
     return {
         "states": dict(zip(logic.state_keys(table.n), (v.value for v in table.values))),
         "derived": {names[i]: str(derived[i]) for i in range(table.n)},
@@ -114,28 +115,27 @@ def _eval_classical(problem: ClassicalProblem, args) -> dict:
         propositions[name] = entry
 
     pairs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            pn, qn = names[i], names[j]
-            joint = weight(i, j)
-            entry = {f"|{pn}&{qn}|": joint}
-            with _labeled(f"|{qn}|_{pn}"):
-                entry[f"|{qn}|_{pn}"] = projections[i].conditional(j, tol)
-            with _labeled(f"|{pn}|_{qn}"):
-                entry[f"|{pn}|_{qn}"] = projections[j].conditional(i, tol)
-            if probs[i] > tol and probs[j] > tol:
-                # both rays passed direction() in the loop above
-                dir_p, dir_q = projections[i], projections[j]
-                entry[f"cos2({pn.upper()},{qn.upper()})"] = classical.cos2(dir_p, dir_q)
-                if joint > tol:
-                    dir_pq = classical.project_affirmed(vec, i, j).direction()
-                    entry[f"cos2({pn.upper()},{pn.upper()}{qn.upper()})"] = classical.cos2(
-                        dir_p, dir_pq
-                    )
-                    entry[f"cos2({qn.upper()},{pn.upper()}{qn.upper()})"] = classical.cos2(
-                        dir_q, dir_pq
-                    )
-            pairs[f"{pn},{qn}"] = entry
+    for i, j in combinations(range(n), 2):
+        pn, qn = names[i], names[j]
+        joint = weight(i, j)
+        entry = {f"|{pn}&{qn}|": joint}
+        with _labeled(f"|{qn}|_{pn}"):
+            entry[f"|{qn}|_{pn}"] = projections[i].conditional(j, tol)
+        with _labeled(f"|{pn}|_{qn}"):
+            entry[f"|{pn}|_{qn}"] = projections[j].conditional(i, tol)
+        if probs[i] > tol and probs[j] > tol:
+            # both rays passed direction() in the loop above
+            dir_p, dir_q = projections[i], projections[j]
+            entry[f"cos2({pn.upper()},{qn.upper()})"] = classical.cos2(dir_p, dir_q)
+            if joint > tol:
+                dir_pq = classical.project_affirmed(vec, i, j).direction()
+                entry[f"cos2({pn.upper()},{pn.upper()}{qn.upper()})"] = classical.cos2(
+                    dir_p, dir_pq
+                )
+                entry[f"cos2({qn.upper()},{pn.upper()}{qn.upper()})"] = classical.cos2(
+                    dir_q, dir_pq
+                )
+        pairs[f"{pn},{qn}"] = entry
     return {"propositions": propositions, "pairs": pairs}
 
 
@@ -150,41 +150,36 @@ def _eval_tfu_measure(problem: TfuMeasureProblem, args) -> dict:
         probs.append(prob)
         propositions[name] = {f"[{name}]": prob, f"[~{name}]": comp}
     pairs = {}
-    for i in range(m.n):
-        for j in range(i + 1, m.n):
-            pn, qn = names[i], names[j]
-            with _labeled(f"[{qn}]_{pn}"):
-                q_given_p = measures.tfu_conditional(j, i, m)
-            with _labeled(f"[{pn}]_{qn}"):
-                p_given_q = measures.tfu_conditional(i, j, m)
-            pairs[f"{pn},{qn}"] = {
-                f"[{qn}]_{pn}": q_given_p,
-                f"[{pn}]_{qn}": p_given_q,
-                f"gap({pn},{qn})": measures.gap(probs[i], q_given_p, probs[j], p_given_q),
-            }
+    for i, j in combinations(range(m.n), 2):
+        pn, qn = names[i], names[j]
+        with _labeled(f"[{qn}]_{pn}"):
+            q_given_p = measures.tfu_conditional(j, i, m)
+        with _labeled(f"[{pn}]_{qn}"):
+            p_given_q = measures.tfu_conditional(i, j, m)
+        pairs[f"{pn},{qn}"] = {
+            f"[{qn}]_{pn}": q_given_p,
+            f"[{pn}]_{qn}": p_given_q,
+            f"gap({pn},{qn})": measures.gap(probs[i], q_given_p, probs[j], p_given_q),
+        }
     return {"propositions": propositions, "pairs": pairs}
 
 
 def _eval_quantum(problem: QuantumProblem, args) -> dict:
     tol = args.tolerance
     state = problem.state
-    names = list(problem.projectors)
-    projectors = {}
-    for name in names:
-        projectors[name] = {f"born({name})": quantum.born(problem.projectors[name], state)}
+    projectors = {
+        name: {f"born({name})": quantum.born(p, state)} for name, p in problem.projectors.items()
+    }
     pairs = {}
-    for pos, pn in enumerate(names):
-        for qn in names[pos + 1:]:
-            p = problem.projectors[pn]
-            q = problem.projectors[qn]
-            entry = {}
-            with _labeled(f"cond({qn}|{pn})"):
-                entry[f"cond({qn}|{pn})"] = quantum.sequential_conditional(q, p, state, tol)
-            with _labeled(f"cond({pn}|{qn})"):
-                entry[f"cond({pn}|{qn})"] = quantum.sequential_conditional(p, q, state, tol)
-            entry[f"asymmetry({pn},{qn})"] = quantum.product_asymmetry(p, q, state)
-            entry[f"commutator({pn},{qn})"] = quantum.commutator_norm(p, q)
-            pairs[f"{pn},{qn}"] = entry
+    for (pn, p), (qn, q) in combinations(problem.projectors.items(), 2):
+        entry = {}
+        with _labeled(f"cond({qn}|{pn})"):
+            entry[f"cond({qn}|{pn})"] = quantum.sequential_conditional(q, p, state, tol)
+        with _labeled(f"cond({pn}|{qn})"):
+            entry[f"cond({pn}|{qn})"] = quantum.sequential_conditional(p, q, state, tol)
+        entry[f"asymmetry({pn},{qn})"] = quantum.product_asymmetry(p, q, state)
+        entry[f"commutator({pn},{qn})"] = quantum.commutator_norm(p, q)
+        pairs[f"{pn},{qn}"] = entry
     return {"projectors": projectors, "pairs": pairs}
 
 
@@ -266,7 +261,7 @@ def cmd_search(args) -> int:
         raise ProblemFileError("search scans qubit directions; this file's tests are projectors")
     grids = problem.grids
     if args.grid_step is not None:
-        grids = tuple(g.with_step(args.grid_step) for g in grids)
+        grids = tuple(replace(g, step=args.grid_step) for g in grids)
     ordering = args.ordering or problem.ordering
     witness = wde.search_violation(
         grids,

@@ -64,8 +64,8 @@ F = TfuValue.FALSE
 U = TfuValue.UNDECIDABLE
 
 
-class Ambiguous:
-    """Singleton marker for the U,U conjunction cell: undecidable or false.
+class Ambiguous(enum.Enum):
+    """One-member marker for the U,U conjunction cell: undecidable or false.
 
     Two undecidable propositions conjoin to F exactly when they exclude
     each other; otherwise the conjunction is again undecidable. The operand
@@ -73,18 +73,13 @@ class Ambiguous:
     marker and `conjunction_value` resolves it against a CompleteStateTable.
     """
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    AMBIGUOUS = "U|F"
 
     def __repr__(self) -> str:
         return "Ambiguous(U|F)"
 
 
-AMBIGUOUS = Ambiguous()
+AMBIGUOUS = Ambiguous.AMBIGUOUS
 
 
 def negate(value: TfuValue) -> TfuValue:

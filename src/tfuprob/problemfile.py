@@ -25,16 +25,18 @@ are projectors. "ordering" picks the pair ordering (default
 "symmetrized"), and "factor" the qubit the shared protocol's directions
 act on.
 
-Structural problems (bad JSON, missing or unknown fields) raise
-ProblemFileError; payloads that parse but violate domain invariants raise
+Structural problems (bad JSON, a missing or mistyped field, an unknown
+mode, variant, protocol, ordering or projector type) raise
+ProblemFileError; a field the reader does not know is ignored, though
+reports echo it. Payloads that parse but violate domain invariants raise
 ValidationError from the domain constructors. The command line maps the
 two to different exit codes. An "n" whose state or cell space (2^n for
 tfu-table and classical, 3^n for tfu-measure) holds more than MAX_CELLS
-entries is a ValidationError, raised before anything is allocated; so is
-a "state" of more than quantum.MAX_DIM amplitudes. A diagonal "mask" is a
+entries is a ValidationError, raised before anything is allocated; so is a
+"state" of more than quantum.MAX_DIM amplitudes. A diagonal "mask" is a
 non-empty list of JSON 0/1 values as long as the state, and "subspace"
-vectors are as long as the state; both are checked before any projector
-is built. A NaN or infinite number anywhere (JSON NaN and Infinity, or a
+vectors are as long as the state; both are checked before any projector is
+built. A NaN or infinite number anywhere (JSON NaN and Infinity, or a
 float literal that overflows) is a ValidationError naming its field. A key
 that repeats within one JSON object is a ProblemFileError.
 """
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
 
@@ -155,9 +157,8 @@ def parse_projector_spec(raw, where: str, dim: int) -> HermitianProjector:
         raise ProblemFileError(f"{where}: projector spec must be an object")
     kind = _need(raw, "type", str, where)
     if kind == "qubit-direction":
-        spec = QubitDirection(
-            theta=_number(_need(raw, "theta", None, where), where),
-            phi=_number(raw.get("phi", 0.0), where),
+        spec = replace(
+            _parse_direction(raw, where),
             factor=_integer(raw, "factor", 0, where),
             n_factors=_integer(raw, "n_factors", 1, where),
         )
@@ -272,21 +273,23 @@ def _parse_tfu_table(payload: dict) -> TfuTableProblem:
     return TfuTableProblem(table)
 
 
-def _parse_classical(payload: dict) -> ClassicalProblem:
-    n = _parse_n(payload, "classical", 2)
-    probs = _need(payload, "probs", (list, dict), "classical")
+def _distribution(payload: dict, where: str, n: int) -> ClassicalDistribution:
+    """The "probs" field: a list of 2^n numbers or a {"+-": p, ...} mapping."""
+    probs = _need(payload, "probs", (list, dict), where)
     if isinstance(probs, dict):
-        dist = ClassicalDistribution.from_mapping(
-            n, {k: _number(v, "classical.probs") for k, v in probs.items()}
+        return ClassicalDistribution.from_mapping(
+            n, {k: _number(v, f"{where}.probs") for k, v in probs.items()}
         )
-    else:
-        arr = _numbers(probs, "classical.probs")
-        if arr.size != 1 << n:
-            raise ProblemFileError(
-                f"classical: probs has {arr.size} entries, expected {1 << n} for n={n}"
-            )
-        dist = ClassicalDistribution(arr)
-    return ClassicalProblem(dist)
+    arr = _numbers(probs, f"{where}.probs")
+    if arr.size != 1 << n:
+        raise ProblemFileError(
+            f"{where}: probs has {arr.size} entries, expected {1 << n} for n={n}"
+        )
+    return ClassicalDistribution(arr)
+
+
+def _parse_classical(payload: dict) -> ClassicalProblem:
+    return ClassicalProblem(_distribution(payload, "classical", _parse_n(payload, "classical", 2)))
 
 
 def _parse_tfu_measure(payload: dict) -> TfuMeasureProblem:
@@ -347,14 +350,7 @@ def _parse_direction(raw, where: str) -> QubitDirection:
 def _parse_wde(payload: dict) -> Problem:
     variant = _need(payload, "variant", str, "wde")
     if variant == "classical":
-        probs = _need(payload, "probs", (list, dict), "wde")
-        if isinstance(probs, dict):
-            dist = ClassicalDistribution.from_mapping(
-                3, {k: _number(v, "wde.probs") for k, v in probs.items()}
-            )
-        else:
-            dist = ClassicalDistribution(_numbers(probs, "wde.probs"))
-        return WdeClassicalProblem(dist)
+        return WdeClassicalProblem(_distribution(payload, "wde", 3))
     if variant == "tfu-sets":
         raw_items = _need(payload, "items", list, "wde")
         members = []

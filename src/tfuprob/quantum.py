@@ -197,7 +197,8 @@ def qubit_state(theta: float, phi: float = 0.0) -> np.ndarray:
 
 
 def orthonormalize(vectors: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
+    """Classical Gram-Schmidt run twice (CGS2), the second pass mopping up
+    rounding in near-parallel sets; a pass is one block projection.
 
     Raises when an input vector is linearly dependent on its predecessors:
     its residual norm falls below INDEPENDENCE_TOL times its original norm.
@@ -208,13 +209,12 @@ def orthonormalize(vectors: np.ndarray) -> np.ndarray:
         raise ValidationError(f"{k} vectors cannot be independent in dimension {dim}")
     basis = np.zeros((k, dim), dtype=complex)
     for i in range(k):
-        v = vecs[i].copy()
+        v = vecs[i]
         original = float(np.linalg.norm(v))
         if original == 0.0:
             raise ValidationError(f"span vector {i} is zero")
-        for _ in range(2):  # second pass mops up rounding in near-parallel sets
-            for j in range(i):
-                v -= np.vdot(basis[j], v) * basis[j]
+        for _ in range(2):
+            v -= basis[:i].T @ (basis[:i].conj() @ v)
         residual = float(np.linalg.norm(v))
         if residual < INDEPENDENCE_TOL * original:
             raise ValidationError(

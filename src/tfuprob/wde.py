@@ -278,9 +278,6 @@ class AngleGrid:
     def values(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.points)
 
-    def with_step(self, step: float) -> "AngleGrid":
-        return AngleGrid(self.start, self.stop, step)
-
 
 @dataclass(frozen=True)
 class ViolationWitness:

@@ -214,3 +214,32 @@ def test_dense_projector_is_a_validation_error(call, kind):
     s = build_state_vector(UNIFORM_2)
     with pytest.raises(ValidationError, match="diagonal mask"):
         _CALLS[call](_DENSE[kind], projector_for(0, 2), s)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: ClassicalDistribution(np.full((2, 2), 0.25)),
+            "distribution must be one-dimensional",
+            id="distribution-2d",
+        ),
+        pytest.param(
+            lambda: RealStateVector(np.full((2, 2), 0.5)),
+            "state vector must be one-dimensional",
+            id="state-2d",
+        ),
+        pytest.param(
+            lambda: cos2(
+                state_direction(build_state_vector(UNIFORM_2)),
+                state_direction(build_state_vector(ClassicalDistribution([0.5, 0.5]))),
+            ),
+            "directions live in different dimensions",
+            id="cos2-dims",
+        ),
+    ],
+)
+def test_library_checks_raise_validation_errors(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

@@ -624,6 +624,16 @@ QUBIT = {"type": "qubit-direction", "theta": 0}
             id="probs-int-beyond-float",
         ),
         pytest.param(
+            json.dumps({"version": 1, "mode": "wde", "variant": "classical", "probs": [0.25] * 4}),
+            "wde: probs has 4 entries, expected 8 for n=3",
+            id="wde-classical-probs-4",
+        ),
+        pytest.param(
+            json.dumps({"version": 1, "mode": "wde", "variant": "classical", "probs": [0.2] * 5}),
+            "wde: probs has 5 entries, expected 8 for n=3",
+            id="wde-classical-probs-5",
+        ),
+        pytest.param(
             '{"version": 1, "mode": "tfu-measure", "n": 1, "measures": {"T": 1' + "0" * 400 + "}}",
             "out of float range",
             id="measures-int-beyond-float",
@@ -684,11 +694,12 @@ QUBIT = {"type": "qubit-direction", "theta": 0}
 def test_malformed_fields_exit_2_with_one_line(capsys, tmp_path, text, fragment):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    code, out, err = run_cli(capsys, "eval", str(path))
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert fragment in err
+    for verb in ("eval", "search"):  # both read the file through one loader
+        code, out, err = run_cli(capsys, verb, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert fragment in err
 
 
 def test_qubit_factor_count_checked_against_state_before_building(capsys, tmp_path):

@@ -484,3 +484,10 @@ def test_scan_accepts_noncontiguous_input():
     jac = rng.uniform(size=(5, 5))
     want = _brute_force(np.ascontiguousarray(jab), jbc, jac)
     assert scan_triple(jab, jbc, jac) == want
+
+
+@pytest.mark.parametrize("na, nb, nc", [(0, 2, 3), (2, 0, 3), (2, 3, 0)])
+def test_scan_refuses_an_empty_grid_axis(na, nb, nc):
+    with pytest.raises(ValidationError) as info:
+        scan_triple(np.zeros((na, nb)), np.zeros((nb, nc)), np.zeros((na, nc)))
+    assert str(info.value) == "empty grid axis"

@@ -56,7 +56,7 @@ def test_conjunction_commutes(a, b):
 
 def test_ambiguous_is_a_singleton_marker():
     assert conjoin(U, U) is AMBIGUOUS
-    assert AMBIGUOUS is type(AMBIGUOUS)()
+    assert list(type(AMBIGUOUS)) == [AMBIGUOUS]
     assert "U|F" in repr(AMBIGUOUS)
 
 
@@ -321,3 +321,16 @@ def test_conjunction_value_needs_distinct_propositions():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_state_keys_match_state_key(n):
     assert state_keys(n) == [state_key(s, n) for s in range(1 << n)]
+
+
+@pytest.mark.parametrize(
+    "n, values, message",
+    [
+        pytest.param(0, (), "need at least one proposition", id="no-proposition"),
+        pytest.param(1, ("T", "F"), "table entries must be TfuValue", id="entries-not-tags"),
+    ],
+)
+def test_table_checks_raise_validation_errors(n, values, message):
+    with pytest.raises(ValidationError) as info:
+        CompleteStateTable(n, values)
+    assert str(info.value) == message

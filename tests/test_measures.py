@@ -305,3 +305,20 @@ def test_tfu_from_augmented_matches_state_loop(n):
         w = rng.uniform(size=1 << (2 * n)) * (rng.random(1 << (2 * n)) < 0.8) + 1e-6
         space = DecidabilityAugmentedSpace(ClassicalDistribution(w / w.sum()))
         assert _same_bits(tfu_from_augmented(space).measures, _tfu_from_augmented_oracle(space))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: cell_from_key(""), "empty cell key", id="empty-key"),
+        pytest.param(
+            lambda: TfuMeasureAssignment(0, [1.0]),
+            "need at least one proposition",
+            id="no-proposition",
+        ),
+    ],
+)
+def test_library_checks_raise_validation_errors(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

@@ -425,3 +425,84 @@ def test_span_width_checked_before_orthonormalizing():
     vecs = np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])  # also dependent
     with pytest.raises(ValidationError, match="projector dim 4 does not match required 2"):
         projector_from_spec(SubspaceSpan(vecs), dim=2)
+
+
+P2 = HermitianProjector.from_diagonal([1, 0])
+P4 = HermitianProjector.from_diagonal([1, 0, 0, 0])
+S2 = ComplexStateVector([1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: ComplexStateVector(np.eye(2)),
+            "state vector must be one-dimensional",
+            id="state-2d",
+        ),
+        pytest.param(
+            lambda: HermitianProjector(np.ones(2)),
+            "projector must be a square matrix",
+            id="projector-1d",
+        ),
+        pytest.param(
+            lambda: HermitianProjector(np.ones((2, 3))),
+            "projector must be a square matrix",
+            id="projector-oblong",
+        ),
+        pytest.param(
+            lambda: QubitDirection(0.0, n_factors=0),
+            "need at least one qubit factor",
+            id="direction-no-factor",
+        ),
+        pytest.param(
+            lambda: SubspaceSpan(np.ones(2)),
+            "span needs a nonempty 2-D array of row vectors",
+            id="span-1d",
+        ),
+        pytest.param(
+            lambda: SubspaceSpan(np.zeros((0, 2))),
+            "span needs a nonempty 2-D array of row vectors",
+            id="span-empty",
+        ),
+        pytest.param(
+            lambda: projector_from_spec("P"),
+            "not a projector spec: 'P'",
+            id="spec-unknown",
+        ),
+        pytest.param(
+            lambda: born(HermitianProjector._trusted(matrix=np.diag([1j, 0])), S2),
+            "expectation has imaginary part 1.0",
+            id="born-imaginary",
+        ),
+        pytest.param(
+            lambda: born(HermitianProjector._trusted(matrix=2 * np.eye(2, dtype=complex)), S2),
+            "expectation 2.0 lies outside [0,1] beyond tolerance",
+            id="born-above-one",
+        ),
+        pytest.param(
+            lambda: born(HermitianProjector._trusted(matrix=-np.eye(2, dtype=complex)), S2),
+            "expectation -1.0 lies outside [0,1] beyond tolerance",
+            id="born-below-zero",
+        ),
+        pytest.param(
+            lambda: sequential_conditional(P2, P4, S2),
+            "projector/state dimensions differ",
+            id="conditional-dims",
+        ),
+        pytest.param(
+            lambda: product_asymmetry(P2, P2, ComplexStateVector([1.0, 0.0, 0.0, 0.0])),
+            "projector/state dimensions differ",
+            id="asymmetry-dims",
+        ),
+        pytest.param(
+            lambda: commutator_norm(P2, P4),
+            "projector dimensions differ",
+            id="commutator-dims",
+        ),
+    ],
+)
+def test_library_checks_raise_validation_errors(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

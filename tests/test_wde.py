@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -267,7 +268,6 @@ def test_angle_grid_values_inclusive():
         AngleGrid(0.0, 1.0, 0.0)
     with pytest.raises(ValidationError, match="before start"):
         AngleGrid(1.0, 0.0, 0.5)
-    assert AngleGrid(0.0, 1.0, 0.5).with_step(0.25).step == 0.25
     with pytest.raises(ValidationError, match="too small"):
         AngleGrid(0.0, 1.0, 5e-324)
 
@@ -290,7 +290,7 @@ def test_search_rejects_axis_over_point_limit(monkeypatch):
     monkeypatch.setattr(wde, "MAX_GRID_POINTS", 4)
     at_limit = AngleGrid(0.0, 3 * np.pi / 8, np.pi / 8)
     assert search_violation(at_limit, singlet_state(), protocol="paired") is not None
-    over = (at_limit, at_limit.with_step(np.pi / 16), at_limit)
+    over = (at_limit, replace(at_limit, step=np.pi / 16), at_limit)
     with pytest.raises(ValidationError, match="7 points per axis, over the limit of 4"):
         search_violation(over, singlet_state(), protocol="paired")
 
@@ -502,9 +502,45 @@ def test_search_takes_the_angles_of_each_distinct_grid_once(monkeypatch):
     one = search_violation(grid, singlet_state(), protocol="paired")
     assert built == [grid]
     # equal grids given apart read as the one grid
-    assert search_violation(tuple(grid.with_step(grid.step) for _ in range(3)),
+    assert search_violation(tuple(AngleGrid(grid.start, grid.stop, grid.step) for _ in range(3)),
                             singlet_state(), protocol="paired") == one
     assert len(built) == 2
     other = AngleGrid(0.0, np.pi, np.pi / 8)
     search_violation((grid, other, grid), singlet_state(), protocol="paired")
     assert len(built) == 4
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: wde_quantum_shared(
+                *[HermitianProjector.from_diagonal([1, 0])] * 3, singlet_state()
+            ),
+            "projector dim 2 does not match state dim 4",
+            id="shared-projector-dim",
+        ),
+        pytest.param(
+            lambda: wde_quantum_paired(
+                QubitDirection(0.0), QubitDirection(0.0),
+                HermitianProjector.from_diagonal([1, 0, 0, 0]), singlet_state(),
+            ),
+            "paired protocol takes QubitDirection specs",
+            id="paired-projector-spec",
+        ),
+        pytest.param(
+            lambda: AngleGrid(0.0, np.nan, 0.1),
+            "grid bounds and step must be finite",
+            id="grid-not-finite",
+        ),
+        pytest.param(
+            lambda: search_violation(AngleGrid(0.0, 1.0, 0.5), singlet_state(), protocol="both"),
+            "unknown protocol 'both': expected one of ('paired', 'shared')",
+            id="search-protocol",
+        ),
+    ],
+)
+def test_library_checks_raise_validation_errors(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
