@@ -7,6 +7,12 @@ run always comes with a concrete reproducible counterexample. Reports
 contain nothing run-dependent except the inputs themselves, which is what
 makes repeated runs byte-identical.
 
+A case's failure record is built only when the case is its suite's first
+failure: `_Suite.check` takes it as a function and calls it then, so a
+green run builds no record. The wde suite's one- and two-member tfu
+populations do not depend on the seed; they are built once per process,
+on first use (`_tfu_populations`), and only their counting runs per case.
+
 Functions from sibling modules are called through their modules on
 purpose: it keeps the call sites patchable, which is how the test suite
 verifies that a genuinely broken invariant turns into a red report.
@@ -15,6 +21,8 @@ verifies that a genuinely broken invariant turns into a red report.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
+from functools import cache
 
 import numpy as np
 
@@ -28,11 +36,16 @@ class _Suite:
         self.cases = 0
         self.failure: dict | None = None
 
-    def check(self, ok: bool, **describe) -> bool:
-        """Count a case; record the first failing one."""
+    def check(self, ok: bool, prop: str, details: Callable[[], dict] | None = None) -> bool:
+        """Count a case; record the first failing one.
+
+        The record is `prop` under "property" plus what `details` returns.
+        `details` is called only for the first failure, and at once, so it
+        may read the caller's loop variables; a passing case builds nothing.
+        """
         self.cases += 1
         if not ok and self.failure is None:
-            self.failure = describe
+            self.failure = {"property": prop, **(details() if details else {})}
         return ok
 
     def report(self) -> dict:
@@ -84,7 +97,7 @@ def _suite_logic(rng, tol: float) -> dict:
 
     expected_negate = {t: f, f: t, u: u}
     for a, want in expected_negate.items():
-        s.check(logic.negate(a) is want, property="negation", value=str(a))
+        s.check(logic.negate(a) is want, "negation", lambda: {"value": str(a)})
     expected_conjoin = {
         (t, t): t, (t, f): f, (t, u): u,
         (f, t): f, (f, f): f, (f, u): f,
@@ -92,12 +105,10 @@ def _suite_logic(rng, tol: float) -> dict:
     }
     for (a, b), want in expected_conjoin.items():
         got = logic.conjoin(a, b)
-        s.check(got is want, property="conjunction", cell=f"{a}{b}", got=repr(got))
-        s.check(
-            logic.conjoin(b, a) is got, property="conjunction-commutes", cell=f"{a}{b}"
-        )
+        s.check(got is want, "conjunction", lambda: {"cell": f"{a}{b}", "got": repr(got)})
+        s.check(logic.conjoin(b, a) is got, "conjunction-commutes", lambda: {"cell": f"{a}{b}"})
     for a in (t, f, u):
-        s.check(logic.negate(logic.negate(a)) is a, property="involution", value=str(a))
+        s.check(logic.negate(logic.negate(a)) is a, "involution", lambda: {"value": str(a)})
 
     def rules_agree(table: logic.CompleteStateTable) -> bool:
         for p in range(table.n):
@@ -123,7 +134,7 @@ def _suite_logic(rng, tol: float) -> dict:
             table = logic.CompleteStateTable(2, combo)
         except ValidationError:
             continue
-        s.check(rules_agree(table), property="rules-I-II", table=[str(v) for v in combo])
+        s.check(rules_agree(table), "rules-I-II", lambda: {"table": [str(v) for v in combo]})
 
     values = np.array([t, f, u], dtype=object)
     for _ in range(150):
@@ -140,7 +151,7 @@ def _suite_logic(rng, tol: float) -> dict:
                 and logic.affirms(st, imp.consequent.prop, 3) == imp.consequent.negated
             ]
             ok = ok and all(table.values[st] is f for st in cell_states)
-        s.check(ok, property="rules-and-nexus", table=[str(v) for v in combo])
+        s.check(ok, "rules-and-nexus", lambda: {"table": [str(v) for v in combo]})
     return s.report()
 
 
@@ -154,22 +165,24 @@ def _suite_classical(rng, tol: float) -> dict:
         fq = _random_formula(rng, n)
         p = classical.projector_for(fp, n)
         q = classical.projector_for(fq, n)
-        case = {
-            "n": n,
-            "probs": [float(x) for x in dist.probs],
-            "p": formulas.unparse(fp),
-            "q": formulas.unparse(fq),
-        }
+
+        def case():
+            return {
+                "n": n,
+                "probs": [float(x) for x in dist.probs],
+                "p": formulas.unparse(fp),
+                "q": formulas.unparse(fq),
+            }
 
         oracle_p = sum(
             float(dist.probs[st]) for st in range(1 << n) if _eval_formula_at(fp, st, n)
         )
         prob_p = classical.probability(p, vec)
-        s.check(abs(prob_p - oracle_p) <= tol, property="oracle-sum", **case)
+        s.check(abs(prob_p - oracle_p) <= tol, "oracle-sum", case)
 
         s.check(
             abs(classical.probability(classical.negation_op(p), vec) - (1.0 - prob_p)) <= tol,
-            property="complement", **case,
+            "complement", case,
         )
         pq = classical.and_op(p, q)
         prob_q = classical.probability(q, vec)
@@ -177,28 +190,28 @@ def _suite_classical(rng, tol: float) -> dict:
         s.check(
             abs(classical.probability(classical.or_op(p, q), vec)
                 - (prob_p + prob_q - prob_pq)) <= tol,
-            property="union", **case,
+            "union", case,
         )
         if prob_p > 1e-6:
             cond = classical.conditional(q, p, vec)
-            s.check(abs(prob_p * cond - prob_pq) <= tol, property="product", **case)
+            s.check(abs(prob_p * cond - prob_pq) <= tol, "product", case)
             s.check(
                 abs(classical.cos2(classical.state_direction(vec),
                                    classical.projected_direction(p, vec)) - prob_p) <= tol,
-                property="cos2-state", **case,
+                "cos2-state", case,
             )
             if prob_pq > 1e-9:
                 s.check(
                     abs(classical.cos2(classical.projected_direction(p, vec),
                                        classical.projected_direction(pq, vec)) - cond) <= tol,
-                    property="cos2-conditional", **case,
+                    "cos2-conditional", case,
                 )
             if prob_q > 1e-6:
                 s.check(
                     abs(classical.cos2(classical.projected_direction(p, vec),
                                        classical.projected_direction(q, vec))
                         - classical.conditional(p, q, vec) * cond) <= tol,
-                    property="cos2-pair", **case,
+                    "cos2-pair", case,
                 )
     return s.report()
 
@@ -209,16 +222,18 @@ def _suite_measures(rng, tol: float) -> dict:
         n = int(rng.integers(1, 4))
         m = measures.TfuMeasureAssignment(n, rng.random(3 ** n) + 1e-6)
         p = int(rng.integers(n))
-        case = {"n": n, "measures": [float(x) for x in m.measures], "p": p}
+
+        def case():
+            return {"n": n, "measures": [float(x) for x in m.measures], "p": p}
 
         prob, comp = measures.complement_check(p, m)
-        s.check(abs(prob + comp - 1.0) <= tol, property="complement-sum", **case)
+        s.check(abs(prob + comp - 1.0) <= tol, "complement-sum", case)
 
         scale = float(rng.uniform(0.1, 10.0))
         scaled = measures.TfuMeasureAssignment(n, m.measures * scale)
         s.check(
             abs(measures.tfu_probability(p, scaled) - prob) <= tol,
-            property="scale-invariance", scale=scale, **case,
+            "scale-invariance", lambda: {"scale": scale, **case()},
         )
 
         digits = (np.arange(3 ** n) // 3 ** (n - 1 - p)) % 3
@@ -227,14 +242,14 @@ def _suite_measures(rng, tol: float) -> dict:
         s.check(
             abs(measures.tfu_probability(p, measures.TfuMeasureAssignment(n, perturbed)) - prob)
             <= tol,
-            property="undecided-mass-inert", **case,
+            "undecided-mass-inert", case,
         )
         if n >= 2:
             q = int(rng.integers(n - 1))
             q = q if q < p else q + 1
             gap = measures.noncommutativity_gap(p, q, m)
             back = measures.noncommutativity_gap(q, p, m)
-            s.check(abs(gap + back) <= tol, property="gap-antisymmetry", q=q, **case)
+            s.check(abs(gap + back) <= tol, "gap-antisymmetry", lambda: {"q": q, **case()})
 
     for _ in range(120):
         n = int(rng.integers(1, 3))
@@ -249,8 +264,8 @@ def _suite_measures(rng, tol: float) -> dict:
             got = measures.tfu_probability(p, m)
             s.check(
                 abs(got - want) <= tol,
-                property="augmented-decidability",
-                n=n, p=p, probs=[float(x) for x in dist.probs],
+                "augmented-decidability",
+                lambda: {"n": n, "p": p, "probs": [float(x) for x in dist.probs]},
             )
     return s.report()
 
@@ -274,19 +289,21 @@ def _suite_quantum(rng, tol: float) -> dict:
             k = int(rng.integers(1, dim))
             vecs = rng.standard_normal((k, dim)) + 1j * rng.standard_normal((k, dim))
             proj = quantum.projector_from_spec(quantum.SubspaceSpan(vecs), dim=dim)
-        case = {"dim": dim}
+
+        def case():
+            return {"dim": dim}
 
         mat = proj.matrix
         s.check(
             float(np.max(np.abs(mat - mat.conj().T))) <= 1e-12
             and float(np.max(np.abs(mat @ mat - mat))) <= 1e-12,
-            property="projector-wellformed", **case,
+            "projector-wellformed", case,
         )
         prob = quantum.born(proj, state)
-        s.check(0.0 <= prob <= 1.0, property="born-range", **case)
+        s.check(0.0 <= prob <= 1.0, "born-range", case)
         s.check(
             abs(quantum.born(proj.complement(), state) - (1.0 - prob)) <= tol,
-            property="complement", **case,
+            "complement", case,
         )
         unitary = quantum.haar_unitary(dim, rng)
         rotated_state = quantum.ComplexStateVector(unitary @ state.amplitudes)
@@ -294,7 +311,7 @@ def _suite_quantum(rng, tol: float) -> dict:
         s.check(
             abs(quantum.born(rotated_proj, rotated_state) - prob)
             <= quantum.UNITARY_INVARIANCE_TOL,
-            property="unitary-invariance", **case,
+            "unitary-invariance", case,
         )
 
     for _ in range(120):
@@ -307,25 +324,27 @@ def _suite_quantum(rng, tol: float) -> dict:
         # one projector per mask, read by the real and the complex arithmetic
         p = quantum.HermitianProjector.from_diagonal(mask_p)
         q = quantum.HermitianProjector.from_diagonal(mask_q)
-        case = {
-            "n": n,
-            "probs": [float(x) for x in dist.probs],
-            "p_mask": [int(x) for x in mask_p],
-            "q_mask": [int(x) for x in mask_q],
-        }
+
+        def case():
+            return {
+                "n": n,
+                "probs": [float(x) for x in dist.probs],
+                "p_mask": [int(x) for x in mask_p],
+                "q_mask": [int(x) for x in mask_q],
+            }
+
         s.check(
             abs(quantum.born(p, state) - classical.probability(p, vec)) <= tol,
-            property="diagonal-sector-probability", **case,
+            "diagonal-sector-probability", case,
         )
-        s.check(abs(quantum.commutator_norm(p, q)) <= tol,
-                property="diagonal-sector-commutes", **case)
+        s.check(abs(quantum.commutator_norm(p, q)) <= tol, "diagonal-sector-commutes", case)
         s.check(abs(quantum.product_asymmetry(p, q, state)) <= tol,
-                property="diagonal-sector-symmetric", **case)
+                "diagonal-sector-symmetric", case)
         if classical.probability(p, vec) > 1e-6:
             s.check(
                 abs(quantum.sequential_conditional(q, p, state)
                     - classical.conditional(q, p, vec)) <= tol,
-                property="diagonal-sector-conditional", **case,
+                "diagonal-sector-conditional", case,
             )
     return s.report()
 
@@ -336,6 +355,23 @@ def _same_terms(got: wde.WdeTriple, want: wde.WdeTriple, tol: float) -> bool:
     return all(abs(getattr(got, t) - getattr(want, t)) <= tol for t in terms)
 
 
+@cache
+def _tfu_populations() -> tuple[tuple[wde.TfuPopulation, bool], ...]:
+    """Every one- and two-member population of the 27 (A, B, C) tags, each
+    member of weight 1, with whether it holds a (T,U,T) member.
+
+    The table does not depend on the seed, so it is built once per process,
+    on first use; its populations are immutable (tuples, read-only weights).
+    """
+    tags = list(itertools.product((logic.T, logic.F, logic.U), repeat=3))
+    escape = (logic.T, logic.U, logic.T)
+    groups = [(member,) for member in tags] + [(a, b) for a in tags for b in tags]
+    return tuple(
+        (wde.TfuPopulation(members, np.ones(len(members))), escape in members)
+        for members in groups
+    )
+
+
 def _suite_wde(rng, tol: float) -> dict:
     s = _Suite("wde")
     for _ in range(300):
@@ -343,25 +379,17 @@ def _suite_wde(rng, tol: float) -> dict:
         triple = wde.wde_classical(dist)
         s.check(
             triple.holds(tol),
-            property="classical-validity",
-            probs=[float(x) for x in dist.probs],
-            violation=triple.violation,
+            "classical-validity",
+            lambda: {"probs": [float(x) for x in dist.probs], "violation": triple.violation},
         )
 
-    tags = list(itertools.product((logic.T, logic.F, logic.U), repeat=3))
-    populations = [(member,) for member in tags]
-    populations += [(a, b) for a in tags for b in tags]
-    for members in populations:
-        pop = wde.TfuPopulation(tuple(members), np.ones(len(members)))
-        triple = wde.wde_tfu_sets(pop)
-        has_escape = any(m[0] is logic.T and m[1] is logic.U and m[2] is logic.T
-                         for m in members)
+    for pop, has_escape in _tfu_populations():
         # a violated population must contain a (T,U,T) member; without one
         # the inequality must hold
         s.check(
-            triple.holds(tol) or has_escape,
-            property="tfu-escape-direction",
-            members=["".join(str(v) for v in m) for m in members],
+            wde.wde_tfu_sets(pop).holds(tol) or has_escape,
+            "tfu-escape-direction",
+            lambda: {"members": ["".join(str(v) for v in m) for m in pop.items]},
         )
 
     singlet = wde.singlet_state()
@@ -374,7 +402,8 @@ def _suite_wde(rng, tol: float) -> dict:
         def closed(x, y):
             return 0.5 * np.sin((y - x) / 2.0) ** 2
         want = wde.WdeTriple(ab=closed(a, b), not_b_c=closed(b, c), ac=closed(a, c))
-        s.check(_same_terms(triple, want, tol), property="singlet-closed-form", thetas=[a, b, c])
+        s.check(_same_terms(triple, want, tol), "singlet-closed-form",
+                lambda: {"thetas": [a, b, c]})
 
     for _ in range(50):
         dist = _random_distribution(rng, 3)
@@ -392,9 +421,9 @@ def _suite_wde(rng, tol: float) -> dict:
             ),
             ac=classical.probability(classical.and_op(projs[0], projs[2]), vec),
         )
-        s.check(_same_terms(got, want, tol), property="shared-diagonal-is-classical",
-                probs=[float(x) for x in dist.probs],
-                masks=[[int(x) for x in m] for m in masks])
+        s.check(_same_terms(got, want, tol), "shared-diagonal-is-classical",
+                lambda: {"probs": [float(x) for x in dist.probs],
+                         "masks": [[int(x) for x in m] for m in masks]})
     return s.report()
 
 
@@ -416,8 +445,8 @@ def _suite_kernels(rng, tol: float) -> dict:
         got_idx, got_val = kernels.scan_triple(jab, jbc, jac)
         s.check(
             got_idx == ref_idx and got_val == cube.flat[flat],
-            property="scan-first-maximum",
-            shapes=[na, nb, nc], got=list(got_idx), want=list(ref_idx),
+            "scan-first-maximum",
+            lambda: {"shapes": [na, nb, nc], "got": list(got_idx), "want": list(ref_idx)},
         )
 
     singlet = wde.singlet_state()
@@ -432,7 +461,7 @@ def _suite_kernels(rng, tol: float) -> dict:
             singlet, ordering=witness.ordering, protocol="paired",
         )
         ok = abs(direct.violation - witness.magnitude) <= tol
-    s.check(ok, property="search-witness-dense-consistency")
+    s.check(ok, "search-witness-dense-consistency")
 
     th = rng.uniform(0, np.pi, size=4)
     jab, jbc, jac = wde._paired_pair_matrices(th, th, th, singlet)
@@ -443,7 +472,7 @@ def _suite_kernels(rng, tol: float) -> dict:
             wde.QubitDirection(0.0), singlet, protocol="paired",
         )
         s.check(abs(jab[i, j] - dense.ab) <= tol,
-                property="pair-matrix-dense-consistency", i=i, j=j)
+                "pair-matrix-dense-consistency", lambda: {"i": i, "j": j})
     return s.report()
 
 

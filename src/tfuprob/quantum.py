@@ -154,6 +154,12 @@ class HermitianProjector:
 # ---------------------------------------------------------------------------
 # projector construction
 
+def check_factor(factor: int, n_factors: int) -> None:
+    """Refuse a qubit index outside 0..n_factors-1."""
+    if not 0 <= factor < n_factors:
+        raise ValidationError(f"factor {factor} out of range for {n_factors} qubits")
+
+
 @dataclass(frozen=True)
 class QubitDirection:
     """Rank-one projector onto (cos(theta/2), e^(i phi) sin(theta/2)) of one
@@ -167,10 +173,7 @@ class QubitDirection:
     def __post_init__(self):
         if self.n_factors < 1:
             raise ValidationError("need at least one qubit factor")
-        if not 0 <= self.factor < self.n_factors:
-            raise ValidationError(
-                f"factor {self.factor} out of range for {self.n_factors} qubits"
-            )
+        check_factor(self.factor, self.n_factors)
 
 
 @dataclass(frozen=True, eq=False)

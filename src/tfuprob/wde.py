@@ -53,7 +53,13 @@ from .classical import (
 )
 from .errors import ValidationError
 from .logic import TfuValue
-from .quantum import ComplexStateVector, HermitianProjector, QubitDirection, projector_from_spec
+from .quantum import (
+    ComplexStateVector,
+    HermitianProjector,
+    QubitDirection,
+    check_factor,
+    projector_from_spec,
+)
 
 ORDERINGS = ("sequential", "symmetrized")
 DEFAULT_ORDERING = "symmetrized"
@@ -174,6 +180,16 @@ def _check_ordering(ordering: str) -> None:
         raise ValidationError(f"unknown ordering {ordering!r}: expected one of {ORDERINGS}")
 
 
+def _check_protocol(protocol: str) -> None:
+    if protocol not in PROTOCOLS:
+        raise ValidationError(f"unknown protocol {protocol!r}: expected one of {PROTOCOLS}")
+
+
+def _check_paired_state(state: ComplexStateVector) -> None:
+    if state.dim != 4:
+        raise ValidationError(f"paired protocol needs a two-qubit state, got dim {state.dim}")
+
+
 def _as_projector(spec, state: ComplexStateVector, factor: int) -> HermitianProjector:
     if isinstance(spec, HermitianProjector):
         if spec.dim != state.dim:
@@ -216,8 +232,7 @@ def wde_quantum_paired(
     factor 0. The factor projectors commute, so both orderings agree.
     """
     _check_ordering(ordering)
-    if state.dim != 4:
-        raise ValidationError(f"paired protocol needs a two-qubit state, got dim {state.dim}")
+    _check_paired_state(state)
     for spec in (a, b, c):
         if not isinstance(spec, QubitDirection):
             raise ValidationError("paired protocol takes QubitDirection specs")
@@ -242,11 +257,10 @@ def wde_quantum(
 ) -> WdeTriple:
     """The three terms under `protocol`; `factor` places the shared
     protocol's one-qubit directions and is unused by the paired one."""
+    _check_protocol(protocol)
     if protocol == "paired":
         return wde_quantum_paired(a, b, c, state, ordering)
-    if protocol == "shared":
-        return wde_quantum_shared(a, b, c, state, ordering, factor)
-    raise ValidationError(f"unknown protocol {protocol!r}: expected one of {PROTOCOLS}")
+    return wde_quantum_shared(a, b, c, state, ordering, factor)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +405,7 @@ def search_violation(
     The scan's refusal of a NaN or an infinity is never reached from here.
     """
     _check_ordering(ordering)
-    if protocol not in PROTOCOLS:
-        raise ValidationError(f"unknown protocol {protocol!r}: expected one of {PROTOCOLS}")
+    _check_protocol(protocol)
     grids = (grid, grid, grid) if isinstance(grid, AngleGrid) else tuple(grid)
     if len(grids) != 3 or not all(isinstance(g, AngleGrid) for g in grids):
         raise ValidationError("grid must be one AngleGrid or a triple of them")
@@ -405,12 +418,10 @@ def search_violation(
     th_a, th_b, th_c = (values[g] for g in grids)
 
     if protocol == "paired":
-        if state.dim != 4:
-            raise ValidationError("paired protocol needs a two-qubit state")
+        _check_paired_state(state)
         jab, jbc, jac = _paired_pair_matrices(th_a, th_b, th_c, state)
     else:
-        if not 0 <= factor < state.n_factors:
-            raise ValidationError(f"factor {factor} out of range for {state.n_factors} qubits")
+        check_factor(factor, state.n_factors)
         jab, jbc, jac = _shared_pair_matrices(th_a, th_b, th_c, state, factor, ordering)
 
     (i, j, k), best = kernels.scan_triple(jab, jbc, jac)

@@ -1110,7 +1110,9 @@ def _run_digest(capsys, *argv) -> str:
 # and is now refused by both verbs. Re-taken for the four `search` runs
 # whose witness is one of two exactly tied tuples (see
 # test_search_witness_is_one_of_two_tied_tuples) when the shared overlap
-# sheets came to be built from the direction amplitudes.
+# sheets came to be built from the direction amplitudes. "paired-dim8"
+# under `search` now prints the same refusal as under `eval`, so its three
+# `search` entries are the `eval` entries' digest.
 GOLDEN_WDE_SHA256 = {
     ("wde_classical.json", "eval", "structured"): "42bf28e814ce1fc62a12599e46f1c7d45f08fba1ca362bce55a4a46ea1729232",
     ("wde_classical.json", "eval", "csv"): "c15b8ead67d6649b50ca7b3d55926bb65ca525d1fef379b30d122f39dc073692",
@@ -1139,9 +1141,9 @@ GOLDEN_WDE_SHA256 = {
     ("paired-dim8", "eval", 0): "de8154458363935d9bf830f41786fe4905660557e138f544e69d71e039e987a5",
     ("paired-dim8", "eval", 1): "de8154458363935d9bf830f41786fe4905660557e138f544e69d71e039e987a5",
     ("paired-dim8", "eval", 2): "de8154458363935d9bf830f41786fe4905660557e138f544e69d71e039e987a5",
-    ("paired-dim8", "search", 0): "842e2dab8b71f7ccb6508858aefa61cf0d1735e3963fe6ce79890242d2f0e885",
-    ("paired-dim8", "search", 1): "842e2dab8b71f7ccb6508858aefa61cf0d1735e3963fe6ce79890242d2f0e885",
-    ("paired-dim8", "search", 2): "842e2dab8b71f7ccb6508858aefa61cf0d1735e3963fe6ce79890242d2f0e885",
+    ("paired-dim8", "search", 0): "de8154458363935d9bf830f41786fe4905660557e138f544e69d71e039e987a5",
+    ("paired-dim8", "search", 1): "de8154458363935d9bf830f41786fe4905660557e138f544e69d71e039e987a5",
+    ("paired-dim8", "search", 2): "de8154458363935d9bf830f41786fe4905660557e138f544e69d71e039e987a5",
     ("paired-file-sequential-factor-3", "eval", 0): "b229911430a60acce302a939fbbae71b56da8914fb39c49436d3206bcaa9bc7f",
     ("paired-file-sequential-factor-3", "eval", 1): "b229911430a60acce302a939fbbae71b56da8914fb39c49436d3206bcaa9bc7f",
     ("paired-file-sequential-factor-3", "eval", 2): "66f72d9a9e10f677969a9a2da5264f37807357e0e6da5f7e6b880160191cbd16",
@@ -1352,6 +1354,15 @@ def test_wde_file_gives_directions_or_projectors_not_both(capsys, tmp_path, prot
     code, out, err = run_cli(capsys, verb, str(path))
     assert (code, out, err) == (
         2, "", "error: wde: give the tests as directions or as projectors, not both\n")
+
+
+def test_search_and_eval_refuse_a_paired_one_qubit_state_with_one_line(capsys, tmp_path):
+    path = tmp_path / "paired-dim-2.json"
+    path.write_text(json.dumps(
+        _wde_quantum("paired", [0.6, 0.8], directions=_WDE_DIRECTIONS, grid=_WDE_GRID)))
+    for verb in ("eval", "search"):
+        assert run_cli(capsys, verb, str(path)) == (
+            3, "", "error: paired protocol needs a two-qubit state, got dim 2\n")
 
 
 # sha256 of stdout of `check --seed S --format F`, taken before the

@@ -259,6 +259,26 @@ def test_shared_protocol_places_one_qubit_directions_on_factor(m):
             wde_quantum(*(QubitDirection(0.1),) * 3, state, protocol="shared", factor=f)
 
 
+@pytest.mark.parametrize("state, protocol, factor, message", [
+    (ComplexStateVector([0.6, 0.8]), "paired", 0,
+     "paired protocol needs a two-qubit state, got dim 2"),
+    (singlet_state(), "shared", 2, "factor 2 out of range for 2 qubits"),
+    (singlet_state(), "shared", -1, "factor -1 out of range for 2 qubits"),
+    (singlet_state(), "both", 0, "unknown protocol 'both': expected one of ('paired', 'shared')"),
+], ids=["paired-dim-2", "factor-2", "factor-minus-1", "protocol"])
+def test_search_and_evaluation_refuse_with_one_message(state, protocol, factor, message):
+    # search_violation checks before it builds sheets, wde_quantum when it
+    # places the directions; both raise the same text for the same condition
+    calls = (
+        lambda: search_violation(AngleGrid(0.0, 1.0, 0.5), state, protocol, factor=factor),
+        lambda: wde_quantum(*(QubitDirection(0.1),) * 3, state, protocol=protocol, factor=factor),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_angle_grid_values_inclusive():
     grid = AngleGrid(0.0, np.pi / 2, np.pi / 4)
     np.testing.assert_allclose(grid.values(), [0.0, np.pi / 4, np.pi / 2], atol=1e-15)
