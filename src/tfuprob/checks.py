@@ -258,9 +258,7 @@ def _suite_measures(rng, tol: float) -> dict:
         m = measures.tfu_from_augmented(space)
         vec = classical.build_state_vector(dist)
         for p in range(n):
-            flag = classical.projector_for(n + p, 2 * n)
-            base = classical.projector_for(p, 2 * n)
-            want = classical.conditional(base, flag, vec)
+            want = classical.conditional(p, n + p, vec)
             got = measures.tfu_probability(p, m)
             s.check(
                 abs(got - want) <= tol,

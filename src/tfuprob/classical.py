@@ -13,7 +13,9 @@ change of formalism.
 The projector type is the complex engine's own: a proposition is a
 `quantum.HermitianProjector` in mask form, and this module reads its bool
 `mask` against a real vector. A dense projector, or one of another
-dimension, is a ValidationError here.
+dimension, is a ValidationError here. A selection may instead be given as
+proposition indices, an int or a tuple for their conjunction, read as a
+slab of the vector with no mask built.
 
 Everything here commutes; the point of the module is that the identities
 it satisfies are exactly the ones put at risk when the projectors stop
@@ -142,15 +144,31 @@ def or_op(p: HermitianProjector, q: HermitianProjector) -> HermitianProjector:
     return HermitianProjector.from_diagonal(mask | _mask(q, mask.size))
 
 
-def probability(p: HermitianProjector, s: RealStateVector) -> float:
+def _slab(props: int | tuple[int, ...], n: int) -> tuple:
+    """`slab_index` of the complete states that affirm every listed proposition."""
+    props = props if isinstance(props, tuple) else (props,)
+    return slab_index(n, *[(k, 0) for k in props])
+
+
+def _selected(sel: HermitianProjector | int | tuple[int, ...], vector: np.ndarray) -> np.ndarray:
+    """The entries of a 2^n vector that a selection keeps, as a contiguous 1-D
+    array in canonical order: the mask's gather, or the same array as the
+    ravel of the indices' slab, so a dot of it adds the same values in turn."""
+    if isinstance(sel, HermitianProjector):
+        return vector[_mask(sel, vector.size)]
+    n = vector.size.bit_length() - 1
+    return vector.reshape((2,) * n)[_slab(sel, n)].ravel()
+
+
+def probability(sel: HermitianProjector | int | tuple[int, ...], s: RealStateVector) -> float:
     """Squared length of the projection: <s|P|s>. Always in [0, 1]."""
-    kept = s.components[_mask(p, s.components.size)]
+    kept = _selected(sel, s.components)
     return min(float(np.dot(kept, kept)), 1.0)
 
 
 def conditional(
-    q: HermitianProjector,
-    p: HermitianProjector,
+    q: HermitianProjector | int | tuple[int, ...],
+    p: HermitianProjector | int | tuple[int, ...],
     s: RealStateVector,
     tol: float = IDENTITY_TOL,
 ) -> float:
@@ -176,15 +194,18 @@ class Projection:
     weight: float
     unit: np.ndarray
 
-    def conditional(self, q: HermitianProjector | int, tol: float = IDENTITY_TOL) -> float:
-        """Probability of q, a mask projector or a proposition index, on the
-        renormalized projection; see `conditional`."""
-        mask = _mask(q, self.unit.size) if isinstance(q, HermitianProjector) else None
+    def conditional(
+        self, q: HermitianProjector | int | tuple[int, ...], tol: float = IDENTITY_TOL
+    ) -> float:
+        """Probability of the selection q on the renormalized projection; see
+        `conditional`."""
+        if isinstance(q, HermitianProjector):
+            _mask(q, self.unit.size)  # before a null condition; an index is checked after
         if self.weight <= tol:
             raise UndefinedConditionalError(
                 f"cannot condition: the condition has probability {self.weight!r} <= {tol}"
             )
-        kept = self.unit[mask] if mask is not None else affirmed(self.unit, q)
+        kept = _selected(q, self.unit)
         return min(float(np.dot(kept, kept)), 1.0)
 
     def direction(self) -> Projection:
@@ -198,8 +219,15 @@ def state_direction(s: RealStateVector) -> Projection:
     return _projection(s.components)
 
 
-def project(p: HermitianProjector, s: RealStateVector) -> Projection:
-    return _projection(np.where(_mask(p, s.components.size), s.components, 0.0))
+def project(sel: HermitianProjector | int | tuple[int, ...], s: RealStateVector) -> Projection:
+    """The ray of P|s>; proposition indices copy their slab into zeros, no mask."""
+    if isinstance(sel, HermitianProjector):
+        return _projection(np.where(_mask(sel, s.components.size), s.components, 0.0))
+    n = s.n
+    index = _slab(sel, n)
+    vector = np.zeros(s.components.size)
+    vector.reshape((2,) * n)[index] = s.components.reshape((2,) * n)[index]
+    return _projection(vector)
 
 
 def _projection(vector: np.ndarray) -> Projection:
@@ -207,29 +235,6 @@ def _projection(vector: np.ndarray) -> Projection:
     unit = vector / np.sqrt(weight) if weight > 0.0 else np.full(vector.size, np.nan)
     unit.setflags(write=False)
     return Projection(weight, unit)
-
-
-def affirmed(vector: np.ndarray, *props: int) -> np.ndarray:
-    """The entries of a 2^n vector at the complete states that affirm every
-    listed proposition, in canonical order, as a contiguous 1-D array.
-
-    In the canonical ordering those states are a strided slab: the vector
-    reshaped to (2, ..., 2) with each proposition's bit fixed at 0. The
-    result is the array `vector[mask]` gathers for the conjunction's truth
-    mask, so a dot product of it adds the same values in the same order.
-    """
-    n = vector.size.bit_length() - 1
-    return vector.reshape((2,) * n)[slab_index(n, *[(k, 0) for k in props])].ravel()
-
-
-def project_affirmed(s: RealStateVector, *props: int) -> Projection:
-    """`project` onto the conjunction of the listed propositions, with the
-    slab of the state copied into a zero vector instead of a mask applied."""
-    n = s.n
-    index = slab_index(n, *[(k, 0) for k in props])
-    vector = np.zeros(s.components.size)
-    vector.reshape((2,) * n)[index] = s.components.reshape((2,) * n)[index]
-    return _projection(vector)
 
 
 def projected_direction(p: HermitianProjector, s: RealStateVector) -> Projection:

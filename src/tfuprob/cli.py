@@ -96,15 +96,10 @@ def _eval_classical(problem: ClassicalProblem, args) -> dict:
     names = default_names(n)
     vec = classical.build_state_vector(dist)
     state_dir = classical.state_direction(vec)
-
-    def weight(*props: int) -> float:
-        """<s|P|s> of a conjunction of propositions, summed over its slab."""
-        kept = classical.affirmed(vec.components, *props)
-        return min(float(np.dot(kept, kept)), 1.0)
-
-    probs = [weight(i) for i in range(n)]
-    # the ray of P|s> of each proposition, read by every pair that conditions on it
-    projections = [classical.project_affirmed(vec, i) for i in range(n)]
+    probs = [classical.probability(i, vec) for i in range(n)]
+    # the ray of P|s> of each proposition, read by every pair that conditions
+    # on it; an index is read as a slab of the state, with no 2^n mask built
+    projections = [classical.project(i, vec) for i in range(n)]
 
     propositions = {}
     for i, name in enumerate(names):
@@ -117,7 +112,7 @@ def _eval_classical(problem: ClassicalProblem, args) -> dict:
     pairs = {}
     for i, j in combinations(range(n), 2):
         pn, qn = names[i], names[j]
-        joint = weight(i, j)
+        joint = classical.probability((i, j), vec)
         entry = {f"|{pn}&{qn}|": joint}
         with _labeled(f"|{qn}|_{pn}"):
             entry[f"|{qn}|_{pn}"] = projections[i].conditional(j, tol)
@@ -128,7 +123,7 @@ def _eval_classical(problem: ClassicalProblem, args) -> dict:
             dir_p, dir_q = projections[i], projections[j]
             entry[f"cos2({pn.upper()},{qn.upper()})"] = classical.cos2(dir_p, dir_q)
             if joint > tol:
-                dir_pq = classical.project_affirmed(vec, i, j).direction()
+                dir_pq = classical.project((i, j), vec).direction()
                 entry[f"cos2({pn.upper()},{pn.upper()}{qn.upper()})"] = classical.cos2(
                     dir_p, dir_pq
                 )

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import tfuprob.checks
 import tfuprob.classical
 import tfuprob.cli
 import tfuprob.errors
+import tfuprob.formulas
 import tfuprob.kernels
 import tfuprob.quantum
 import tfuprob.report
@@ -988,6 +990,38 @@ def test_large_eval_output_bytes_are_pinned(capsys, tmp_path, mode, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LARGE_SHA256[mode, fmt]
 
 
+def _classical_n8_payload() -> dict:
+    """Classical n=8 with exact rational weights and no mass where p0 and p1
+    both hold, so one pair skips its cos2(P,PQ) rows."""
+    weights = [0 if k < 64 else (k * 37) % 11 + 1 for k in range(256)]
+    total = sum(weights)
+    return {"version": 1, "mode": "classical", "n": 8, "probs": [w / total for w in weights]}
+
+
+# sha256 of stdout for the file above, taken before `probability` and
+# `project` took proposition indices in place of `affirmed`/`project_affirmed`.
+GOLDEN_CLASSICAL_N8_SHA256 = {
+    "structured": "b2460e03badd0b443c64cac87996d427f48274e7c1b4c19b24ccf5706395a33f",
+    "csv": "0e950c0884e34f52ee9be5f135ca89a20ae9de9dc87019f1bb78a5b57ddc2c2a",
+    "table": "57cb690fae23cc25b1fc512269d2d392dae563ae32015db5e1f173db9c0f3ffa",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_CLASSICAL_N8_SHA256))
+def test_classical_eval_builds_no_truth_mask(capsys, monkeypatch, tmp_path, fmt):
+    # eval reads each proposition and pair by index, as a slab of the state;
+    # a 2^n mask per proposition is what that route exists to avoid
+    def no_mask(*args):
+        raise AssertionError("classical eval built a truth mask")
+
+    monkeypatch.setattr(tfuprob.formulas, "truth_mask", no_mask)
+    path = tmp_path / "classical.json"
+    path.write_text(json.dumps(_classical_n8_payload()))
+    code, out, err = run_cli(capsys, "eval", str(path), "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CLASSICAL_N8_SHA256[fmt]
+
+
 def _quantum_scale_payload(dim: int) -> dict:
     """A quantum file at dim 256 or 1024: a complex state, a qubit direction
     with phi != 0, a mask, a rank-4 span given as [re, im] pairs and a
@@ -1036,7 +1070,8 @@ def test_quantum_scale_eval_output_bytes_are_pinned(capsys, tmp_path, dim, fmt):
 def _wde_state(seed: int, dim: int, pairs: bool = True) -> list:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + (1j * rng.standard_normal(dim) if pairs else 0)
-    v = v / np.linalg.norm(v)
+    # normalized without BLAS (nrm2), whose last bits depend on the kernel
+    v = v / math.sqrt(math.fsum(abs(z) ** 2 for z in v.tolist()))
     return [[z.real, z.imag] for z in v.tolist()] if pairs else v.tolist()
 
 

@@ -298,8 +298,9 @@ def test_projection_is_what_conditional_and_direction_computed():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_slab_reads_are_the_mask_gathers(n):
-    # affirmed/project_affirmed read a proposition, or the conjunction of
-    # two, as a slab of the state; the truth masks gather the same entries
+    # probability, project and conditional read proposition indices, one or
+    # the conjunction of two, as a slab of the state; the truth masks gather
+    # the same entries, so every float is the same bits
     rng = np.random.default_rng([149, n])
     for kind in CLASSICAL_KINDS:
         s = classical.build_state_vector(
@@ -308,10 +309,11 @@ def test_slab_reads_are_the_mask_gathers(n):
         masks = [classical.projector_for(i, n).mask for i in range(n)]
         subsets = [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
         for props in subsets:
-            mask = np.logical_and.reduce([masks[k] for k in props])
-            assert classical.affirmed(s.components, *props).tobytes() == s.components[mask].tobytes()
-            got = classical.project_affirmed(s, *props)
-            want = classical.project(HermitianProjector.from_diagonal(mask), s)
+            sel = props[0] if len(props) == 1 else props
+            mask = HermitianProjector.from_diagonal(np.logical_and.reduce([masks[k] for k in props]))
+            assert repr(classical.probability(sel, s)) == repr(classical.probability(mask, s))
+            got = classical.project(sel, s)
+            want = classical.project(mask, s)
             assert repr(got.weight) == repr(want.weight)
             assert got.unit.tobytes() == want.unit.tobytes()
             assert _outcome(lambda: got.direction().unit.tobytes()) == _outcome(
@@ -323,10 +325,25 @@ def test_slab_reads_are_the_mask_gathers(n):
                     assert _outcome(got.conditional, q, tol) == _outcome(
                         want.conditional, q_mask, tol
                     ), (kind, props, q, tol)
-    v = np.zeros(1 << n)
+                assert _outcome(classical.conditional, q, sel, s) == _outcome(
+                    classical.conditional, q_mask, mask, s
+                )
+    half = 1 << (n - 1)  # proposition 0 carries no mass
+    null = classical.project(0, classical.build_state_vector(
+        classical.ClassicalDistribution([0.0] * half + [1.0 / half] * half)
+    ))
     for bad in (-1, n):
-        with pytest.raises(ValidationError, match="out of range"):
-            classical.affirmed(v, bad)
+        for read in (lambda: classical.probability(bad, s), lambda: classical.project(bad, s),
+                     lambda: classical.project((0, bad), s),
+                     lambda: classical.state_direction(s).conditional(bad)):
+            with pytest.raises(ValidationError, match="out of range"):
+                read()
+        # an index out of range is reported after a null condition
+        with pytest.raises(UndefinedConditionalError):
+            null.conditional(bad)
+    # a mask of the wrong size, before it
+    with pytest.raises(ValidationError, match="dimensions differ"):
+        null.conditional(classical.projector_for(0, n + 1))
 
 
 def test_projection_checks_dimensions():
