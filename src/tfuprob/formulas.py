@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .logic import check_prop
+from .logic import affirms, check_prop
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def truth_mask(formula: Formula, n: int) -> np.ndarray:
 def _eval(formula: Formula, states: np.ndarray, n: int) -> np.ndarray:
     if isinstance(formula, Var):
         check_prop(formula.index, n)
-        return (states >> (n - 1 - formula.index)) & 1 == 0
+        return affirms(states, formula.index, n)
     if isinstance(formula, Not):
         return ~_eval(formula.operand, states, n)
     if isinstance(formula, And):

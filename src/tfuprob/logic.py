@@ -113,8 +113,8 @@ def state_count(n: int) -> int:
     return 1 << n
 
 
-def affirms(state: int, prop: int, n: int) -> bool:
-    """Whether the complete state contains proposition `prop` unnegated."""
+def affirms(state: int | np.ndarray, prop: int, n: int) -> bool | np.ndarray:
+    """Whether the complete state (each, for an array) has `prop` unnegated."""
     return (state >> (n - 1 - prop)) & 1 == 0
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -67,9 +67,10 @@ PROTOCOLS = ("paired", "shared")
 HOLDS_TOL = 1e-12
 SEARCH_THRESHOLD = 1e-9
 # Points per search axis. A pair sheet holds points**2 float64 values, so
-# 2048 points make 32 MiB per sheet (three per search); the scan adds one
-# block buffer and per-block bound tables, under 12 MiB at 2048 points, and
-# the tuple count is then at most 2048**3.
+# 2048 points make 32 MiB per sheet, built in row blocks of about 1 MiB. A
+# search builds three, or on one grid one (paired) or two (shared: Jac is
+# Jab); the scan adds one block buffer and per-block bound tables, under
+# 12 MiB at 2048 points, and the tuple count is then at most 2048**3.
 MAX_GRID_POINTS = 2048
 
 
@@ -304,42 +305,47 @@ class ViolationWitness:
     ordering: str
 
 
-def _pair_amplitude_table(th_x, th_y, state4) -> np.ndarray:
-    """|<d(x) (x) d(y)|s>|^2 for every angle pair, vectorized (phi = 0).
+def _pair_sheets(th_a, th_b, th_c, axis, fills):
+    """Jab, Jbc, Jac: fills' tables over the angle pairs (a, b), (b, c), (a, c),
+    in row blocks whose temporaries stay about 1 MiB; fill(out, r, x, y) writes
+    rows r into out from axis(x) and axis(y), made once per distinct array. A
+    sheet whose fill and arrays are an earlier one's takes its table, read-only
+    since a write through one name would change both: Jac is Jab when the b and
+    c axes are one array, and Jbc is Jac when the a and b axes are one array
+    and all three sheets are one fill (the paired protocol)."""
+    axes = {id(th): th for th in (th_a, th_b, th_c)}
+    axes = {key: axis(th) for key, th in axes.items()}
+    tables, sheets = {}, []
+    for fill, x, y in zip(fills, (th_a, th_b, th_a), (th_b, th_c, th_c)):
+        key = (fill, id(x), id(y))
+        if key in tables:
+            tables[key].flags.writeable = False
+        else:
+            table = tables[key] = np.empty((x.size, y.size))
+            rows = max(1, 2**16 // y.size)
+            for r0 in range(0, x.size, rows):
+                r = slice(r0, r0 + rows)
+                fill(table[r], r, axes[id(x)], axes[id(y)])
+        sheets.append(tables[key])
+    return tuple(sheets)
 
-    Built in blocks of rows, so that the complex temporaries stay about
-    1 MiB each rather than twice the size of the table."""
-    cx, sx = np.cos(th_x / 2.0), np.sin(th_x / 2.0)
-    cy, sy = np.cos(th_y / 2.0), np.sin(th_y / 2.0)
-    s00, s01, s10, s11 = state4
-    table = np.empty((cx.size, cy.size))
-    rows = max(1, 2**16 // cy.size)
-    for r0 in range(0, cx.size, rows):
-        r = slice(r0, r0 + rows)
+
+def _paired_pair_matrices(th_a, th_b, th_c, state: ComplexStateVector):
+    """Jab, Jbc, Jac of the paired protocol: |<d(x) (x) d(y)|s>|^2, phi = 0."""
+    s00, s01, s10, s11 = state.amplitudes
+
+    def fill(out, r, x, y):
+        (cx, sx), (cy, sy) = x, y
         amp = (
             np.multiply.outer(cx[r], cy) * s00
             + np.multiply.outer(cx[r], sy) * s01
             + np.multiply.outer(sx[r], cy) * s10
             + np.multiply.outer(sx[r], sy) * s11
         )
-        table[r] = np.abs(amp) ** 2
-    return table
+        out[...] = np.abs(amp) ** 2
 
-
-def _paired_pair_matrices(th_a, th_b, th_c, state: ComplexStateVector):
-    """Jab, Jbc, Jac of the paired protocol. When the three axes are one
-    array, so are the three sheets: the one table, read-only, since a write
-    through one name would change all three."""
-    s4 = state.amplitudes
-    if th_a is th_b is th_c:
-        table = _pair_amplitude_table(th_a, th_a, s4)
-        table.flags.writeable = False
-        return table, table, table
-    return (
-        _pair_amplitude_table(th_a, th_b, s4),
-        _pair_amplitude_table(th_b, th_c, s4),
-        _pair_amplitude_table(th_a, th_c, s4),
-    )
+    return _pair_sheets(th_a, th_b, th_c, lambda th: (np.cos(th / 2.0), np.sin(th / 2.0)),
+                        (fill, fill, fill))
 
 
 def _direction_weights(thetas: np.ndarray, state: ComplexStateVector, factor: int) -> np.ndarray:
@@ -351,37 +357,31 @@ def _direction_weights(thetas: np.ndarray, state: ComplexStateVector, factor: in
     return np.sum(np.abs(rows) ** 2, axis=1)
 
 
-def _overlap_table(th_x, th_y) -> np.ndarray:
-    """|<d(y)|d(x)>|^2 = cos^2((x - y)/2) for every pair (phi = 0), built from
-    the direction amplitudes as (cos(x/2) cos(y/2) + sin(x/2) sin(y/2))^2:
-    O(n) sines and cosines, not one cosine per pair."""
-    o = np.multiply.outer(np.cos(th_x / 2.0), np.cos(th_y / 2.0))
-    o += np.multiply.outer(np.sin(th_x / 2.0), np.sin(th_y / 2.0))
-    o *= o
-    return o
-
-
 def _shared_pair_matrices(th_a, th_b, th_c, state, factor, ordering):
     # Rank-one algebra: ||P_y P_x s||^2 = |<d_y|d_x>|^2 * <s|P_x|s>, and the
     # complement of a qubit direction is the antipodal direction, so
     # overlap and weight of "not b" are 1 - overlap and 1 - weight of b.
-    # The weights are applied in place, as overlap * 0.5 * (w_x + w_y).
-    wa = _direction_weights(th_a, state, factor)
-    wb = _direction_weights(th_b, state, factor)
-    wc = _direction_weights(th_c, state, factor)
-    jab = _overlap_table(th_a, th_b)
-    jbc = _overlap_table(th_b, th_c)
-    np.subtract(1.0, jbc, out=jbc)
-    jac = _overlap_table(th_a, th_c)
-    if ordering == "sequential":
-        jab *= wa[:, None]
-        jbc *= (1.0 - wb)[:, None]
-        jac *= wa[:, None]
-    else:
-        for sheet, wx, wy in ((jab, wa, wb), (jbc, 1.0 - wb, wc), (jac, wa, wc)):
-            sheet *= 0.5
-            sheet *= np.add.outer(wx, wy)
-    return jab, jbc, jac
+    # The overlap is (cos(x/2) cos(y/2) + sin(x/2) sin(y/2))^2, no cosine
+    # per pair; the weights are applied in place, as overlap * 0.5 * (w_x + w_y).
+    def fill(complement, out, r, x, y):
+        (cx, sx, wx), (cy, sy, wy) = x, y
+        np.multiply.outer(cx[r], cy, out=out)
+        out += np.multiply.outer(sx[r], sy)
+        out *= out
+        if complement:
+            np.subtract(1.0, out, out=out)
+        wx = 1.0 - wx[r] if complement else wx[r]
+        if ordering == "sequential":
+            out *= wx[:, None]
+        else:
+            out *= 0.5
+            out *= np.add.outer(wx, wy)
+
+    def axis(th):
+        return np.cos(th / 2.0), np.sin(th / 2.0), _direction_weights(th, state, factor)
+
+    joint = partial(fill, False)
+    return _pair_sheets(th_a, th_b, th_c, axis, (joint, partial(fill, True), joint))
 
 
 def search_violation(

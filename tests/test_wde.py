@@ -431,7 +431,11 @@ def test_overlap_table_matches_the_cosine_of_the_half_difference():
     base = np.concatenate([[0.0, np.pi / 4, np.pi / 2], rng.uniform(-np.pi, np.pi, size=13)])
     th_x = np.concatenate([base, base + np.pi])
     th_y = np.concatenate([base[::-1], base + np.pi, np.linspace(0.0, 2 * np.pi, 9)])
-    got = wde._overlap_table(th_x, th_y)
+    # the singlet's direction weights are all about 1/2, so the sequential
+    # Jab over the weights of a is the overlap of the two directions
+    state = singlet_state()
+    jab = wde._shared_pair_matrices(th_x, th_y, th_y, state, 0, "sequential")[0]
+    got = jab / wde._direction_weights(th_x, state, 0)[:, None]
     want = np.cos(np.subtract.outer(th_x, th_y) / 2.0) ** 2
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-15
@@ -472,17 +476,51 @@ def _whole_amplitude_table(th_x, th_y, state4):
     return np.abs(amp) ** 2
 
 
+def _whole_overlap_table(th_x, th_y):
+    """|<d(y)|d(x)>|^2 over the whole table, from the direction amplitudes."""
+    o = np.multiply.outer(np.cos(th_x / 2.0), np.cos(th_y / 2.0))
+    o += np.multiply.outer(np.sin(th_x / 2.0), np.sin(th_y / 2.0))
+    o *= o
+    return o
+
+
+def _whole_shared_sheets(th_a, th_b, th_c, state, factor, ordering):
+    """The shared sheets as whole overlap tables, weighted in place."""
+    wa, wb, wc = (wde._direction_weights(th, state, factor) for th in (th_a, th_b, th_c))
+    jab = _whole_overlap_table(th_a, th_b)
+    jbc = _whole_overlap_table(th_b, th_c)
+    np.subtract(1.0, jbc, out=jbc)
+    jac = _whole_overlap_table(th_a, th_c)
+    if ordering == "sequential":
+        jab *= wa[:, None]
+        jbc *= (1.0 - wb)[:, None]
+        jac *= wa[:, None]
+    else:
+        for sheet, wx, wy in ((jab, wa, wb), (jbc, 1.0 - wb, wc), (jac, wa, wc)):
+            sheet *= 0.5
+            sheet *= np.add.outer(wx, wy)
+    return jab, jbc, jac
+
+
 @pytest.mark.parametrize("nx, ny", [(1, 1), (7, 3), (300, 5), (5, 70000), (1100, 1100)])
 def test_pair_amplitude_table_in_row_blocks_equals_the_whole_expression(nx, ny):
     # row blocks of 2**16 // ny rows: one, several, a ragged last one, and
-    # single rows longer than a block
+    # single rows longer than a block; with x as the c axis, Jbc turns the
+    # table's shape over and Jac is square
     rng = np.random.default_rng([47, nx, ny])
     th_x = rng.uniform(-2 * np.pi, 2 * np.pi, size=nx)
     th_y = rng.uniform(-2 * np.pi, 2 * np.pi, size=ny)
     amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     for state4 in (singlet_state().amplitudes, amps / np.linalg.norm(amps)):
-        got = wde._pair_amplitude_table(th_x, th_y, state4)
-        assert np.array_equal(got, _whole_amplitude_table(th_x, th_y, state4))
+        state = ComplexStateVector(state4)
+        got = wde._paired_pair_matrices(th_x, th_y, th_x, state)
+        want = [_whole_amplitude_table(x, y, state4)
+                for x, y in ((th_x, th_y), (th_y, th_x), (th_x, th_x))]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+        for ordering in wde.ORDERINGS:
+            got = wde._shared_pair_matrices(th_x, th_y, th_x, state, 1, ordering)
+            want = _whole_shared_sheets(th_x, th_y, th_x, state, 1, ordering)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
 def test_paired_sheets_memory_is_bounded():
@@ -507,6 +545,48 @@ def test_paired_sheets_of_one_axis_array_are_one_read_only_table(state):
     for sheet in wde._paired_pair_matrices(th, th.copy(), th.copy(), state):
         assert sheet.flags.writeable
         assert np.array_equal(sheet, jab)
+
+
+@pytest.mark.parametrize("ordering", wde.ORDERINGS)
+@pytest.mark.parametrize("one_array, held, bound", [(False, 24, 26), (True, 16, 18)])
+def test_shared_sheets_build_peak_is_what_they_hold(ordering, one_array, held, bound):
+    th = np.linspace(0.0, np.pi, 1024)
+    axes = (th, th, th) if one_array else (th, th.copy(), th.copy())
+    amps = np.random.default_rng(48).standard_normal(8) + 0.5j
+    state = ComplexStateVector(amps / np.linalg.norm(amps))
+    tracemalloc.start()
+    try:
+        sheets = wde._shared_pair_matrices(*axes, state, 1, ordering)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    distinct = {id(sheet): sheet for sheet in sheets}.values()
+    assert sum(sheet.nbytes for sheet in distinct) == held * 2**20
+    assert peak <= bound * 2**20  # three whole overlap tables peaked at 32.2 MiB
+
+
+@pytest.mark.parametrize("ordering", wde.ORDERINGS)
+def test_shared_sheets_of_one_axis_array_share_jab_as_jac(ordering):
+    th = np.linspace(-0.4, 3.5, 37)
+    amps = np.array([0.1 + 0.5j, -0.3, 0.6j, 0.2 - 0.4j]) / np.sqrt(0.91)
+    state = ComplexStateVector(amps)
+    jab, jbc, jac = wde._shared_pair_matrices(th, th, th, state, 1, ordering)
+    assert jab is jac and not jab.flags.writeable
+    assert jbc is not jab and jbc.flags.writeable
+    # three arrays of the same angles build the same three sheets apart
+    apart = wde._shared_pair_matrices(th, th.copy(), th.copy(), state, 1, ordering)
+    assert all(sheet.flags.writeable for sheet in apart)
+    assert all(np.array_equal(x, y) for x, y in zip(apart, (jab, jbc, jac), strict=True))
+
+
+def test_paired_sheets_of_one_a_and_b_array_share_jac_as_jbc():
+    th, th_c = np.linspace(-0.4, 3.5, 37), np.linspace(0.2, 2.9, 23)
+    jab, jbc, jac = wde._paired_pair_matrices(th, th, th_c, singlet_state())
+    assert jbc is jac and not jac.flags.writeable
+    assert jab is not jac and jab.flags.writeable
+    apart = wde._paired_pair_matrices(th, th.copy(), th_c, singlet_state())
+    assert all(sheet.flags.writeable for sheet in apart)
+    assert all(np.array_equal(x, y) for x, y in zip(apart, (jab, jbc, jac), strict=True))
 
 
 def test_search_takes_the_angles_of_each_distinct_grid_once(monkeypatch):
